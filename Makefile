@@ -34,10 +34,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The sweep scheduler is the only concurrent code in the repository; race
-# runs its packages (and the core pool they drive) under the race detector.
+# race runs the concurrent packages under the race detector: the sweep
+# scheduler (and the core pool it drives), and radio, whose process-wide
+# fading-table cache is built from many replications at once.
 race:
-	$(GO) test -race ./internal/core ./internal/experiment
+	$(GO) test -race ./internal/core ./internal/experiment ./internal/radio
 
 # smoke-multicell exercises the sharded multi-cell topology (handoffs, the
 # single-cell equivalence goldens, worker-count invariance) under the race

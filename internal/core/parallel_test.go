@@ -86,21 +86,27 @@ func TestParallelWorkerInvariance(t *testing.T) {
 // TestParallelHandoffActivity asserts the invariance test above actually
 // exercised the cross-lane machinery: handoffs moved timers between lanes,
 // disconnections and recoveries ran, and responses outlived memberships.
+// A response outliving its destination's membership is a rare race that any
+// one seed may miss, so that path is counted over a fixed seed set.
 func TestParallelHandoffActivity(t *testing.T) {
-	cfg := parallelChaosConfig(11)
-	cfg.ParallelWorkers = 2
-	sim, r := runMulti(t, cfg)
-	if r.Handoffs == 0 {
-		t.Error("no handoffs in a vehicular parallel run")
+	var departed uint64
+	for seed := uint64(11); seed <= 14; seed++ {
+		cfg := parallelChaosConfig(seed)
+		cfg.ParallelWorkers = 2
+		sim, r := runMulti(t, cfg)
+		if r.Handoffs == 0 {
+			t.Errorf("seed %d: no handoffs in a vehicular parallel run", seed)
+		}
+		if r.Disconnects == 0 || r.Recoveries == 0 {
+			t.Errorf("seed %d: fault layer idle: %d disconnects, %d recoveries", seed, r.Disconnects, r.Recoveries)
+		}
+		if r.StaleViolations != 0 {
+			t.Fatalf("seed %d: %d stale answers", seed, r.StaleViolations)
+		}
+		departed += sim.mergedLanes().respDeparted
 	}
-	if r.Disconnects == 0 || r.Recoveries == 0 {
-		t.Errorf("fault layer idle: %d disconnects, %d recoveries", r.Disconnects, r.Recoveries)
-	}
-	if sim.mergedLanes().respDeparted == 0 {
-		t.Error("no response outlived its destination's cell membership")
-	}
-	if r.StaleViolations != 0 {
-		t.Fatalf("%d stale answers", r.StaleViolations)
+	if departed == 0 {
+		t.Error("no response outlived its destination's cell membership on seeds 11-14")
 	}
 }
 

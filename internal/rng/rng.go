@@ -86,55 +86,6 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// FillFloat64 fills buf with uniform [0, 1) values — the same sequence len(buf)
-// Float64 calls would produce — keeping the generator state in registers for
-// the whole batch.
-func (r *Source) FillFloat64(buf []float64) {
-	b := r.Batch()
-	for i := range buf {
-		buf[i] = b.Float64()
-	}
-	b.End(r)
-}
-
-// Batch is a by-value snapshot of the generator for tight loops: draws on a
-// stack-resident Batch compile to pure register arithmetic (the methods
-// inline and the state never escapes), where every Source.Float64 call pays
-// a load/store of the four state words. The same sequence is produced. The
-// Source must not be used between Batch and End, and End must be called
-// exactly once to write the advanced state back.
-type Batch struct {
-	s0, s1, s2, s3 uint64
-}
-
-// Batch begins a register-resident draw sequence.
-func (r *Source) Batch() Batch {
-	return Batch{r.s[0], r.s[1], r.s[2], r.s[3]}
-}
-
-// End writes the advanced state back to the source.
-func (b *Batch) End(r *Source) {
-	r.s[0], r.s[1], r.s[2], r.s[3] = b.s0, b.s1, b.s2, b.s3
-}
-
-// Uint64 returns the next 64 random bits of the batch.
-func (b *Batch) Uint64() uint64 {
-	result := bits.RotateLeft64(b.s1*5, 7) * 9
-	t := b.s1 << 17
-	b.s2 ^= b.s0
-	b.s3 ^= b.s1
-	b.s1 ^= b.s2
-	b.s0 ^= b.s3
-	b.s2 ^= t
-	b.s3 = bits.RotateLeft64(b.s3, 45)
-	return result
-}
-
-// Float64 returns a uniform float64 in [0, 1) from the batch.
-func (b *Batch) Float64() float64 {
-	return float64(b.Uint64()>>11) * (1.0 / (1 << 53))
-}
-
 // Stream derives an independent generator from a master seed and a stream
 // name. The same (seed, name) pair always yields the same stream, and
 // distinct names yield (statistically) independent streams.
