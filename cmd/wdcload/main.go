@@ -1,14 +1,13 @@
 // Command wdcload is the wall-clock load harness CLI: it sweeps simulated
 // client fleets across invalidation algorithms against a real wdcserved
 // process (spawned binary or in-process server) over actual UDP and TCP
-// sockets, records answer-latency quantiles and throughput per point to
-// BENCH_3.json, and gates: zero stale answers always, plus optional absolute
-// and ratcheted p99 latency SLOs.
+// sockets, prints answer-latency quantiles and throughput per point, and
+// exits non-zero if any point served a stale answer.
 //
 // Usage:
 //
-//	wdcload -algos ts,hybrid -fleets 100,1000 -out BENCH_3.json
-//	wdcload -bin ./wdcserved -algos all -fleets 1000 -gate-pct 15
+//	wdcload -algos ts,hybrid -fleets 100,1000
+//	wdcload -bin ./wdcserved -algos all -fleets 1000
 //
 // Each point runs the full client protocol: Zipf queries with exponential
 // think times, doze periods followed by catch-up exchanges, piggybacked
@@ -17,13 +16,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -31,52 +28,6 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/obs"
 )
-
-// LoadPoint is one measured algorithm × fleet-size configuration.
-type LoadPoint struct {
-	Algo             string  `json:"algo"`
-	Clients          int     `json:"clients"`
-	Queries          int64   `json:"queries"`
-	QPS              float64 `json:"queries_per_sec"`
-	P50Sec           float64 `json:"p50_sec"`
-	P99Sec           float64 `json:"p99_sec"`
-	P999Sec          float64 `json:"p999_sec"`
-	Stale            int64   `json:"stale"`
-	Drops            int64   `json:"drops"`
-	Retries          int64   `json:"retries"`
-	RecoveryCatchups int64   `json:"recovery_catchups"`
-	QueueMax         int     `json:"actor_queue_max"`
-	WallSec          float64 `json:"wall_sec"`
-}
-
-func (p LoadPoint) key() string { return fmt.Sprintf("%s@%d", p.Algo, p.Clients) }
-
-// LoadRecord is one full sweep.
-type LoadRecord struct {
-	Points []LoadPoint `json:"points"`
-}
-
-func (r *LoadRecord) find(key string) *LoadPoint {
-	if r == nil {
-		return nil
-	}
-	for i := range r.Points {
-		if r.Points[i].key() == key {
-			return &r.Points[i]
-		}
-	}
-	return nil
-}
-
-// LoadFile is the on-disk layout of BENCH_3.json.
-type LoadFile struct {
-	Schema   string             `json:"schema"`
-	Command  string             `json:"command"`
-	Baseline *LoadRecord        `json:"baseline"`
-	Current  *LoadRecord        `json:"current"`
-	DeltaPct map[string]float64 `json:"delta_pct,omitempty"`
-	Note     string             `json:"note,omitempty"`
-}
 
 func main() {
 	algosFlag := flag.String("algos", "all", "comma-separated algorithms, or 'all': "+strings.Join(ir.Names, ", "))
@@ -89,10 +40,6 @@ func main() {
 	injects := flag.Int("injects", 50, "database updates injected per point")
 	signals := flag.Int("signals", 10, "environment-signal pushes per point")
 	items := flag.Int("items", 128, "database items")
-	out := flag.String("out", "", "write/ratchet BENCH_3.json at this path (empty: report only)")
-	gatePct := flag.Float64("gate-pct", 0, "fail if p99 latency regresses more than this percent vs the committed record (0 disables)")
-	gateSlack := flag.Float64("gate-slack", 0.002, "absolute seconds added to the ratchet ceiling; sub-millisecond p99s are scheduler noise, not regressions")
-	sloP99 := flag.Float64("slo-p99", 0, "absolute p99 answer-latency ceiling in seconds (0 disables)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/load and /debug/pprof on this address during the sweep")
 	flag.Parse()
 
@@ -132,7 +79,6 @@ func main() {
 		fmt.Printf("wdcload: live snapshot at http://%s/debug/load\n", *debugAddr)
 	}
 
-	current := &LoadRecord{}
 	for _, clients := range fleets {
 		for _, algo := range algos {
 			cfg := loadgen.DefaultConfig(algo, clients)
@@ -145,120 +91,17 @@ func main() {
 			cfg.NumItems = *items
 			cfg.Bin = *bin
 			cfg.Monitor = mon
+			// Run fails on any stale answer, so every printed point had none.
 			res, err := loadgen.Run(cfg)
 			if err != nil {
 				fatal(fmt.Errorf("point %s@%d: %w", algo, clients, err))
 			}
-			p := LoadPoint{
-				Algo:             res.Algo,
-				Clients:          res.Clients,
-				Queries:          res.Counts.Queries,
-				QPS:              res.QPS(),
-				P50Sec:           res.Latency.Quantile(0.50),
-				P99Sec:           res.Latency.Quantile(0.99),
-				P999Sec:          res.Latency.Quantile(0.999),
-				Stale:            res.Stale,
-				Drops:            res.Drops,
-				Retries:          res.Retries,
-				RecoveryCatchups: res.RecoveryCatchups,
-				QueueMax:         res.QueueMax,
-				WallSec:          res.Elapsed.Seconds(),
-			}
-			current.Points = append(current.Points, p)
 			fmt.Printf("wdcload: %-12s %6d queries, %7.0f q/s, p50 %6.2fms p99 %6.2fms, %d retries, %d drops, queue max %d (%.1fs wall)\n",
-				p.key(), p.Queries, p.QPS, p.P50Sec*1e3, p.P99Sec*1e3, p.Retries, p.Drops, p.QueueMax, p.WallSec)
+				fmt.Sprintf("%s@%d", res.Algo, res.Clients), res.Counts.Queries, res.QPS(),
+				res.Latency.Quantile(0.50)*1e3, res.Latency.Quantile(0.99)*1e3,
+				res.Retries, res.Drops, res.QueueMax, res.Elapsed.Seconds())
 		}
 	}
-
-	var failures []string
-	for _, p := range current.Points {
-		if p.Stale > 0 {
-			failures = append(failures, fmt.Sprintf("point %s: %d stale answers", p.key(), p.Stale))
-		}
-		if *sloP99 > 0 && p.P99Sec > *sloP99 {
-			failures = append(failures, fmt.Sprintf("point %s: p99 %.2fms exceeds SLO %.2fms",
-				p.key(), p.P99Sec*1e3, *sloP99*1e3))
-		}
-	}
-
-	if *out != "" {
-		prior := readLoadFile(*out)
-		rec := LoadFile{
-			Schema:  "wdc-bench-load-v1",
-			Command: "go run ./cmd/wdcload",
-			Current: current,
-		}
-		if prior != nil && prior.Baseline != nil {
-			rec.Baseline = prior.Baseline
-			rec.Note = prior.Note
-		} else {
-			rec.Baseline = current
-			rec.Note = fmt.Sprintf("recorded on a %d-CPU machine; wall-clock latency numbers are machine-relative", runtime.NumCPU())
-		}
-		rec.DeltaPct = map[string]float64{}
-		for _, p := range current.Points {
-			if b := rec.Baseline.find(p.key()); b != nil && b.P99Sec > 0 {
-				rec.DeltaPct["p99_sec/"+p.key()] = pct(p.P99Sec, b.P99Sec)
-				rec.DeltaPct["queries_per_sec/"+p.key()] = pct(p.QPS, b.QPS)
-			}
-		}
-		// The record is written before any gate decision so a failing run
-		// still leaves its evidence behind.
-		if err := writeLoadFile(*out, &rec); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wdcload: wrote %s (%d points)\n", *out, len(current.Points))
-
-		if *gatePct > 0 && prior != nil {
-			ref := prior.Current
-			if ref == nil {
-				ref = prior.Baseline
-			}
-			for _, p := range current.Points {
-				committed := ref.find(p.key())
-				if committed == nil || committed.P99Sec <= 0 {
-					continue
-				}
-				ceiling := committed.P99Sec*(1+*gatePct/100) + *gateSlack
-				if p.P99Sec > ceiling {
-					failures = append(failures, fmt.Sprintf(
-						"point %s: p99 regression: %.2fms > %.2fms (committed %.2fms)",
-						p.key(), p.P99Sec*1e3, ceiling*1e3, committed.P99Sec*1e3))
-				}
-			}
-		}
-	}
-
-	if len(failures) > 0 {
-		fatal(fmt.Errorf("load gate failed:\n  %s", strings.Join(failures, "\n  ")))
-	}
-}
-
-func pct(cur, base float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return (cur - base) / base * 100
-}
-
-func readLoadFile(path string) *LoadFile {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var f LoadFile
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil
-	}
-	return &f
-}
-
-func writeLoadFile(path string, f *LoadFile) error {
-	b, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 func fatal(err error) {
