@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 help:
 	@echo "build           compile everything"
 	@echo "test            run the unit suite"
-	@echo "vet             go vet"
+	@echo "vet             go vet, and fail on any file gofmt would change"
 	@echo "race            race-detector pass over the concurrent packages"
 	@echo "smoke-multicell multi-cell topology smoke under -race"
 	@echo "smoke-parallel  epoch-parallel engine smoke under -race: chaos at P=1 vs P=NumCPU"
@@ -30,8 +30,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails when gofmt -l lists a file, so unformatted code cannot land.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # race runs the concurrent packages under the race detector: the sweep
 # scheduler (and the core pool it drives), and radio, whose process-wide
@@ -53,10 +55,12 @@ smoke-parallel:
 	$(GO) test -race -run 'Parallel|CellWorkers' -count=1 ./internal/core ./internal/experiment
 
 # smoke-served runs the served-mode conformance oracle under the race
-# detector: a loopback wdcserved (in-process server plus a spawned binary)
-# driven in virtual-time lock-step against the DES-style model, asserting
-# byte-identical report streams and zero stale answers for all eight
-# algorithms, plus the graceful-shutdown and wire-framing adversarial tests.
+# detector: a spawned wdcserved binary driven in virtual-time lock-step
+# against the DES-style model, asserting byte-identical report streams and
+# zero stale answers for all eight algorithms, and for four of them under
+# report loss and stalled query frames (the chaos leg); plus the in-process
+# graceful-shutdown and wire-framing adversarial tests and the harness's
+# spawn handshake tests.
 smoke-served:
 	$(GO) build -o /tmp/wdcserved ./cmd/wdcserved
 	WDCSERVED_BIN=/tmp/wdcserved $(GO) test -race -short -count=1 ./internal/serve/...

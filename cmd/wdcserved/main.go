@@ -6,9 +6,10 @@
 //     leaves as one datagram (u8 mcs | ir wire form) to -udp-target.
 //   - TCP uplink query plane: length-prefixed frames carrying item queries
 //     and UIR-style catch-up requests (see internal/serve wire docs).
-//   - HTTP control plane: /v1/status, /v1/capabilities, /v1/algo (live
-//     swap), /v1/update (db-update injection), /v1/signals, /v1/advance
-//     (virtual clock), /metrics (Prometheus), /debug/pprof.
+//   - HTTP control plane: /v1/status, /v1/capabilities, /v1/update (db-update
+//     injection), /v1/signals, /v1/advance (virtual clock), /metrics
+//     (Prometheus), /debug/pprof. The algorithm is fixed for the process's
+//     life by -algo.
 //
 // Usage:
 //

@@ -2,120 +2,17 @@ package loadgen
 
 import (
 	"fmt"
-	"net"
-	"os"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/des"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/serve"
-	"repro/internal/serve/capabilities"
 	"repro/internal/serve/harness"
 	"repro/internal/workload"
 )
-
-// wireClient is one client's TCP connection to the query plane. The framing
-// mirrors the conformance target's, minus the lock-step machinery: queries
-// and catch-ups, with OpError turned into a Go error.
-type wireClient struct {
-	addr    string
-	timeout time.Duration
-	conn    net.Conn
-	fr      *serve.FrameReader
-}
-
-func dialWire(addr string, timeout time.Duration) (*wireClient, error) {
-	w := &wireClient{addr: addr, timeout: timeout}
-	if err := w.Reconnect(); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// Reconnect (re)dials the query plane, abandoning any previous connection.
-func (w *wireClient) Reconnect() error {
-	if w.conn != nil {
-		_ = w.conn.Close()
-	}
-	conn, err := net.Dial("tcp", w.addr)
-	if err != nil {
-		return err
-	}
-	w.conn = conn
-	w.fr = serve.NewFrameReader(conn)
-	return nil
-}
-
-func (w *wireClient) Close() {
-	if w.conn != nil {
-		_ = w.conn.Close()
-	}
-}
-
-// readFrame reads one response frame, turning OpError into a Go error. The
-// payload aliases the reader's buffer: valid until the next read.
-func (w *wireClient) readFrame() (byte, []byte, error) {
-	_ = w.conn.SetReadDeadline(time.Now().Add(w.timeout))
-	op, payload, err := w.fr.Read()
-	if err != nil {
-		return 0, nil, err
-	}
-	if op == serve.OpError {
-		return 0, nil, fmt.Errorf("loadgen: server error: %s", payload)
-	}
-	return op, payload, nil
-}
-
-// Query runs one item query. The digest, when non-nil, aliases the frame
-// buffer and must be consumed before the next exchange on this client.
-func (w *wireClient) Query(item int) (capabilities.Answer, []byte, error) {
-	var ans capabilities.Answer
-	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	if err := serve.WriteFrame(w.conn, serve.OpQuery, serve.EncodeQuery(item)); err != nil {
-		return ans, nil, err
-	}
-	op, payload, err := w.readFrame()
-	if err != nil {
-		return ans, nil, err
-	}
-	if op != serve.OpAnswer {
-		return ans, nil, fmt.Errorf("loadgen: query answered with op 0x%02x", op)
-	}
-	ans, digestFollows, err := serve.DecodeAnswerFrame(payload)
-	if err != nil || !digestFollows {
-		return ans, nil, err
-	}
-	op, payload, err = w.readFrame()
-	if err != nil {
-		return ans, nil, err
-	}
-	if op != serve.OpReport {
-		return ans, nil, fmt.Errorf("loadgen: digest flag set but op 0x%02x followed", op)
-	}
-	return ans, payload, nil
-}
-
-// Catchup requests the update history since the given consistency point. The
-// report aliases the frame buffer: consume before the next exchange.
-func (w *wireClient) Catchup(since des.Time) ([]byte, error) {
-	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	if err := serve.WriteFrame(w.conn, serve.OpCatchup, serve.EncodeCatchup(since)); err != nil {
-		return nil, err
-	}
-	op, payload, err := w.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	if op != serve.OpReport {
-		return nil, fmt.Errorf("loadgen: catchup answered with op 0x%02x", op)
-	}
-	return payload, nil
-}
 
 // clientStats is one client's contribution to the run result. The
 // deterministic subset (queries, catchups, itemSum) is a function of the
@@ -127,6 +24,7 @@ type clientStats struct {
 	recoveries int64
 	retries    int64
 	stale      int64
+	firstStale string // the first convicted entry, named in the stale error
 	itemSum    uint64
 	sketch     *metrics.Sketch
 	err        error
@@ -137,7 +35,7 @@ type clientStats struct {
 type simClient struct {
 	id      int
 	hc      *harness.Client
-	wc      *wireClient
+	wc      *harness.Conn
 	sampler *workload.Sampler
 	action  *rng.Source   // think times, item picks, action choice
 	proto   *rng.Source   // sig draws (via hc.Src) and retry jitter
@@ -216,20 +114,27 @@ func (sc *simClient) run(cfg *Config, truth *truthStore, mon *obs.LoadMonitor) c
 			}
 		}
 		// The online sweep: assert the invariant now, not just at the end.
-		if n := sc.hc.StaleEntries(truth); n > 0 {
-			sc.debugStale(truth)
-			st.stale += int64(n)
-			mon.AddStale(n)
-		}
+		sc.sweep(truth, mon, &st)
 	}
-	if !sc.drain(truth, &st) {
-		return st
-	}
-	if n := sc.hc.StaleEntries(truth); n > 0 {
-		st.stale += int64(n)
-		mon.AddStale(n)
+	if sc.drain(truth, &st) {
+		sc.sweep(truth, mon, &st)
 	}
 	return st
+}
+
+// sweep counts the client's stale cache entries, describing the first one
+// the run convicts.
+func (sc *simClient) sweep(truth *truthStore, mon *obs.LoadMonitor, st *clientStats) {
+	n, e := sc.hc.StaleEntries(truth)
+	if n == 0 {
+		return
+	}
+	if st.stale == 0 {
+		st.firstStale = fmt.Sprintf("client %d item %d version %d cached as of %v, consistent to %v",
+			sc.id, e.ID, e.Version, e.CachedAt, sc.hc.State.LastConsistent)
+	}
+	st.stale += int64(n)
+	mon.AddStale(n)
 }
 
 // queryFraction is the action split: query vs doze+catch-up.
@@ -320,20 +225,4 @@ func (sc *simClient) catchup(cfg *Config, truth *truthStore, mon *obs.LoadMonito
 	}
 	mon.AddCatchup()
 	return true
-}
-
-// debugStale dumps the offending entries when LOADGEN_DEBUG is set.
-func (sc *simClient) debugStale(truth *truthStore) {
-	if os.Getenv("LOADGEN_DEBUG") == "" {
-		return
-	}
-	lc := sc.hc.State.LastConsistent
-	sc.hc.Cache.Range(func(e cache.Entry) bool {
-		ver, at := truth.VersionedAt(e.ID)
-		if at <= lc && e.Version < ver {
-			fmt.Fprintf(os.Stderr, "STALE client=%d item=%d cached(ver=%d at=%v) truth(ver=%d at=%v) LC=%v\n",
-				sc.id, e.ID, e.Version, e.CachedAt, ver, at, lc)
-		}
-		return true
-	})
 }

@@ -30,6 +30,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/serve/capabilities"
+	"repro/internal/serve/harness"
 	"repro/internal/traffic"
 )
 
@@ -261,16 +262,22 @@ func Run(cfg Config) (Result, error) {
 		mon = &obs.LoadMonitor{}
 	}
 
-	udp, err := dialUDP()
+	udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return res, err
 	}
 	defer udp.Close()
-	tgt, err := startTarget(&cfg, cfg.runtimeConfig(), udp.LocalAddr().String())
+	tgt, err := harness.Start(cfg.Bin, serve.Options{
+		Runtime:   cfg.runtimeConfig(),
+		WallClock: true,
+		UDPTarget: udp.LocalAddr().String(),
+		TCPAddr:   "127.0.0.1:0",
+		IOTimeout: cfg.IOTimeout,
+	})
 	if err != nil {
 		return res, err
 	}
-	defer tgt.close()
+	defer tgt.Close()
 
 	truth := newTruthStore(cfg.NumItems)
 	zipf := rng.NewZipf(cfg.NumItems, cfg.Zipf)
@@ -286,7 +293,7 @@ func Run(cfg Config) (Result, error) {
 		clients[i] = sc
 	}
 	for _, sc := range clients {
-		wc, err := dialWire(tgt.tcpAddr, cfg.IOTimeout)
+		wc, err := harness.Dial(tgt.TCPAddr, cfg.IOTimeout)
 		if err != nil {
 			return res, fmt.Errorf("loadgen: dial client %d: %w", sc.id, err)
 		}
@@ -316,7 +323,7 @@ func Run(cfg Config) (Result, error) {
 	injErr := make(chan error, 1)
 	var injects int64
 	go func() {
-		n, err := runInjector(&cfg, tgt.ctl, truth, mon)
+		n, err := runInjector(&cfg, tgt, truth, mon)
 		injects = n
 		injErr <- err
 	}()
@@ -324,7 +331,7 @@ func Run(cfg Config) (Result, error) {
 	var signals int64
 	var frames uint64
 	go func() {
-		n, f, err := runSignals(&cfg, tgt.ctl, mon)
+		n, f, err := runSignals(&cfg, tgt, mon)
 		signals, frames = n, f
 		sigErr <- err
 	}()
@@ -338,7 +345,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	elapsed := time.Since(start)
 
-	st, err := tgt.ctl.status()
+	st, err := tgt.Status()
 	if err != nil {
 		return res, err
 	}
@@ -361,6 +368,7 @@ func Run(cfg Config) (Result, error) {
 		QueueMax: st.QueueMax,
 	}
 	var firstErr error
+	var firstStale string
 	for i := range stats {
 		s := &stats[i]
 		res.Counts.Queries += s.queries
@@ -373,6 +381,9 @@ func Run(cfg Config) (Result, error) {
 		if s.err != nil && firstErr == nil {
 			firstErr = s.err
 		}
+		if s.stale > 0 && firstStale == "" {
+			firstStale = s.firstStale
+		}
 	}
 	for i := range drops {
 		res.Drops += drops[i].Load()
@@ -381,8 +392,8 @@ func Run(cfg Config) (Result, error) {
 		return res, firstErr
 	}
 	if res.Stale > 0 {
-		return res, fmt.Errorf("loadgen: %d stale answers [%s, %d clients] — invalidation contract violated",
-			res.Stale, cfg.Algo, cfg.Clients)
+		return res, fmt.Errorf("loadgen: %d stale answers [%s, %d clients] — invalidation contract violated; first: %s",
+			res.Stale, cfg.Algo, cfg.Clients, firstStale)
 	}
 	return res, nil
 }
@@ -414,7 +425,7 @@ func distribute(udp *net.UDPConn, chans []chan []byte, drops []atomic.Int64, mon
 // runInjector drives the database: cfg.Injects updates, exponentially spaced
 // to span the fleet's expected run, items and gaps drawn from the dedicated
 // injector stream so the count and item sequence are deterministic.
-func runInjector(cfg *Config, ctl *control, truth *truthStore, mon *obs.LoadMonitor) (int64, error) {
+func runInjector(cfg *Config, tgt *harness.Target, truth *truthStore, mon *obs.LoadMonitor) (int64, error) {
 	if cfg.Injects == 0 {
 		return 0, nil
 	}
@@ -426,7 +437,7 @@ func runInjector(cfg *Config, ctl *control, truth *truthStore, mon *obs.LoadMoni
 		time.Sleep(des.FromSeconds(src.Exp(rate)).Std())
 		item := src.Intn(cfg.NumItems)
 		truth.beginInject(item)
-		ans, err := ctl.inject(item)
+		ans, err := tgt.Inject(item)
 		if err != nil {
 			truth.settle(item, 0, 0)
 			return done, err
@@ -443,7 +454,7 @@ func runInjector(cfg *Config, ctl *control, truth *truthStore, mon *obs.LoadMoni
 // generator pumped over a private virtual clock, one window per push. The
 // push count, SNR values and frame count are deterministic; only the wall
 // instants the pushes land at vary.
-func runSignals(cfg *Config, ctl *control, mon *obs.LoadMonitor) (int64, uint64, error) {
+func runSignals(cfg *Config, tgt *harness.Target, mon *obs.LoadMonitor) (int64, uint64, error) {
 	if cfg.Signals == 0 {
 		return 0, 0, nil
 	}
@@ -474,7 +485,7 @@ func runSignals(cfg *Config, ctl *control, mon *obs.LoadMonitor) (int64, uint64,
 		for i := range snrs {
 			snrs[i] = src.Uniform(5, 30)
 		}
-		if err := ctl.setSignals(snrs, load); err != nil {
+		if err := tgt.SetSignals(snrs, load); err != nil {
 			return done, gen.GeneratedFrames(), err
 		}
 		done++

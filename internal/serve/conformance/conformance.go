@@ -1,8 +1,16 @@
+// Package conformance drives a live wdcserved instance in virtual-time
+// lock-step against an in-process serve.Runtime and asserts the two are the
+// same engine: byte-identical report datagrams per clock advance,
+// byte-identical query answers, piggyback digests and catch-up reports, and
+// — through a fleet of harness clients mirroring the core's cache protocol —
+// zero stale answers. The DES-style model is the oracle; the network server
+// is the system under test.
 package conformance
 
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"time"
 
 	"repro/internal/des"
@@ -13,6 +21,11 @@ import (
 	"repro/internal/serve/capabilities"
 	"repro/internal/serve/harness"
 )
+
+// readDeadline bounds every read from the target; a conforming server
+// responds in microseconds, so hitting this means the server lost a frame or
+// a datagram it owed us.
+const readDeadline = 10 * time.Second
 
 // Config parameterizes one conformance run.
 type Config struct {
@@ -41,7 +54,7 @@ type Chaos struct {
 	ReportLossProb  float64       // per client per datagram: never delivered
 	ReportTruncProb float64       // per client per datagram: cut mid-flight
 	TimeoutProb     float64       // per query: stall the frame, let the server cut, retry
-	RetryBase       time.Duration // bounded-exponential retry backoff base
+	RetryBase       time.Duration // fault.Backoff base for the retry after a stall
 }
 
 // Result summarizes a run. Stale is the count of stale-answer violations —
@@ -112,16 +125,26 @@ func Run(cfg Config) (Result, error) {
 	}
 	model.Start()
 
-	var tgt *Target
-	if cfg.Bin != "" {
-		tgt, err = NewSubprocessTarget(cfg.Bin, rc, cfg.IOTimeout)
-	} else {
-		tgt, err = NewInProcessTarget(rc, cfg.IOTimeout)
+	udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		return res, err
 	}
+	defer udp.Close()
+	tgt, err := harness.Start(cfg.Bin, serve.Options{
+		Runtime:   rc,
+		UDPTarget: udp.LocalAddr().String(),
+		TCPAddr:   "127.0.0.1:0",
+		IOTimeout: cfg.IOTimeout,
+	})
 	if err != nil {
 		return res, err
 	}
 	defer tgt.Close()
+	conn, err := harness.Dial(tgt.TCPAddr, readDeadline)
+	if err != nil {
+		return res, err
+	}
+	defer conn.Close()
 
 	oracle := modelOracle{model}
 	clients := make([]*harness.Client, cfg.Clients)
@@ -131,6 +154,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	sched := rng.Stream(cfg.Seed, "conf-schedule")
 	chaos := rng.Stream(cfg.Seed, "conf-chaos")
+	buf := make([]byte, 1<<16)
 
 	now := des.Time(0)
 	for step := 0; step < cfg.Steps; step++ {
@@ -148,7 +172,7 @@ func Run(cfg Config) (Result, error) {
 			return res, fmt.Errorf("conformance: step %d [%s]: served %d broadcasts, model produced %d",
 				step, cfg.Algo, served, produced)
 		}
-		grams, err := tgt.ReadDatagrams(produced)
+		grams, err := readDatagrams(udp, buf, produced)
 		if err != nil {
 			return res, err
 		}
@@ -183,7 +207,7 @@ func Run(cfg Config) (Result, error) {
 		}
 
 		// One client/control action per step, mirrored to both engines.
-		if err := applyStep(cfg, &res, sched, chaos, tgt, model, clients, oracle, rc.DB.NumItems); err != nil {
+		if err := applyStep(cfg, &res, sched, chaos, tgt, conn, model, clients, oracle, rc.DB.NumItems); err != nil {
 			return res, fmt.Errorf("conformance: step %d [%s]: %w", step, cfg.Algo, err)
 		}
 
@@ -192,10 +216,27 @@ func Run(cfg Config) (Result, error) {
 		// version. This is the core's checkConsistency rule applied to the
 		// whole cache, shared with the load harness via harness.StaleEntries.
 		for _, c := range clients {
-			res.Stale += c.StaleEntries(oracle)
+			n, _ := c.StaleEntries(oracle)
+			res.Stale += n
 		}
 	}
 	return res, nil
+}
+
+// readDatagrams collects exactly n broadcast datagrams, reading each into buf
+// and copying it out. The lock-step protocol makes n exact: Advance already
+// reported how many the server owes.
+func readDatagrams(udp *net.UDPConn, buf []byte, n int) ([][]byte, error) {
+	out := make([][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		_ = udp.SetReadDeadline(time.Now().Add(readDeadline))
+		m, _, err := udp.ReadFromUDP(buf)
+		if err != nil {
+			return out, fmt.Errorf("conformance: datagram %d/%d: %w", i+1, n, err)
+		}
+		out = append(out, append([]byte(nil), buf[:m]...))
+	}
+	return out, nil
 }
 
 // sampleFate draws one delivery fate for a datagram-client pair.
@@ -215,13 +256,13 @@ func sampleFate(ch *Chaos, src *rng.Source) fault.Fate {
 
 // applyStep performs one mirrored action: an item query over TCP, an update
 // injection, a signals push, or a catch-up exchange.
-func applyStep(cfg Config, res *Result, sched, chaos *rng.Source, tgt *Target,
+func applyStep(cfg Config, res *Result, sched, chaos *rng.Source, tgt *harness.Target, conn *harness.Conn,
 	model *serve.Runtime, clients []*harness.Client, oracle harness.Truth, numItems int) error {
 	switch pick := sched.Float64(); {
 	case pick < 0.55: // query
 		c := clients[sched.Intn(len(clients))]
 		item := sched.Intn(numItems)
-		ans, digest, err := queryWithChaos(cfg.Chaos, res, chaos, tgt, item)
+		ans, digest, err := queryWithChaos(cfg.Chaos, res, chaos, conn, item)
 		if err != nil {
 			return err
 		}
@@ -270,7 +311,7 @@ func applyStep(cfg Config, res *Result, sched, chaos *rng.Source, tgt *Target,
 		model.SetSignals(snrs, load)
 	default: // catch-up exchange
 		c := clients[sched.Intn(len(clients))]
-		raw, err := tgt.Catchup(c.State.LastConsistent)
+		raw, err := conn.Catchup(c.State.LastConsistent)
 		if err != nil {
 			return err
 		}
@@ -288,19 +329,17 @@ func applyStep(cfg Config, res *Result, sched, chaos *rng.Source, tgt *Target,
 
 // queryWithChaos optionally stalls the query frame first, waits for the
 // server's IO deadline to cut the connection, and retries on a fresh one
-// with the fault layer's bounded-exponential backoff.
-func queryWithChaos(ch *Chaos, res *Result, src *rng.Source, tgt *Target, item int) (capabilities.Answer, []byte, error) {
+// after the fault layer's first backoff step: the query's only retry.
+func queryWithChaos(ch *Chaos, res *Result, src *rng.Source, conn *harness.Conn, item int) (capabilities.Answer, []byte, error) {
 	if ch != nil && src.Bool(ch.TimeoutProb) {
-		if err := tgt.StallFrame(); err != nil {
+		if err := conn.Stall(); err != nil {
 			return capabilities.Answer{}, nil, err
 		}
-		if err := tgt.Reconnect(); err != nil {
+		if err := conn.Reconnect(); err != nil {
 			return capabilities.Answer{}, nil, err
 		}
 		res.Retries++
-		if base := ch.RetryBase; base > 0 {
-			time.Sleep(base << uint(min(res.Retries, 6)))
-		}
+		time.Sleep(fault.Backoff(des.Duration(ch.RetryBase/time.Microsecond), 0, src.Float64()).Std())
 	}
-	return tgt.Query(item)
+	return conn.Query(item)
 }

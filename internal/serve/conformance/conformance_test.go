@@ -58,7 +58,9 @@ func TestConformanceAllAlgorithms(t *testing.T) {
 // retried with bounded backoff — and asserts the protocol still never
 // leaves a stale entry in any cache. The server-side byte comparison stays
 // exact throughout: chaos happens to the traffic, not to the engine.
+// WDCSERVED_BIN runs it against a spawned binary, as above.
 func TestConformanceChaos(t *testing.T) {
+	bin := os.Getenv("WDCSERVED_BIN")
 	for _, algo := range []string{"ts", "uir", "sig", "hybrid"} {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
@@ -68,6 +70,7 @@ func TestConformanceChaos(t *testing.T) {
 				Seed:      7,
 				Steps:     steps(t) / 2,
 				Clients:   3,
+				Bin:       bin,
 				IOTimeout: 150 * time.Millisecond,
 				Chaos: &Chaos{
 					ReportLossProb:  0.15,

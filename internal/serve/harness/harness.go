@@ -1,11 +1,13 @@
-// Package harness is the reusable client side of the served protocol: a
-// cache-holding endpoint running exactly the protocol the DES core's clients
-// run — ir.ClientState over a cache.Cache, the put guard that keeps an
-// in-flight answer from re-entering a cache a report has already moved past,
-// and the staleness sweep that checks every cached entry against ground
-// truth. Both served-mode drivers are built from it: the virtual-time
-// conformance oracle (internal/serve/conformance) and the wall-clock load
-// harness (internal/loadgen).
+// Package harness is the reusable client side of the served protocol. Client
+// is a cache-holding endpoint running exactly the protocol the DES core's
+// clients run — ir.ClientState over a cache.Cache, the put guard that keeps
+// an in-flight answer from re-entering a cache a report has already moved
+// past, and the staleness sweep that checks every cached entry against
+// ground truth. Target starts a server under test, in-process or as a
+// spawned wdcserved binary, and drives its HTTP control plane; Conn speaks
+// its TCP query plane. Both served-mode drivers are built from it: the
+// virtual-time conformance oracle (internal/serve/conformance) and the
+// wall-clock load harness (internal/loadgen).
 package harness
 
 import (
@@ -94,16 +96,19 @@ func (c *Client) CacheAnswer(ans capabilities.Answer, oracle ir.Oracle) bool {
 // at the next sweep once a report moves the consistency point past the
 // stamp. Together these let a harness whose ground truth trails the wire
 // (the wall-clock load harness) assert zero — the paper's correctness
-// invariant — without false violations.
-func (c *Client) StaleEntries(truth Truth) int {
-	stale := 0
+// invariant — without false violations. The first offending entry found is
+// returned alongside the count, so a failing harness can name it.
+func (c *Client) StaleEntries(truth Truth) (stale int, first cache.Entry) {
 	asOf := c.State.LastConsistent
 	c.Cache.Range(func(e cache.Entry) bool {
 		ver, at := truth.VersionedAt(e.ID)
 		if at < asOf && e.Version < ver {
+			if stale == 0 {
+				first = e
+			}
 			stale++
 		}
 		return true
 	})
-	return stale
+	return stale, first
 }

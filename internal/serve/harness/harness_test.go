@@ -62,18 +62,19 @@ func TestStaleEntriesRules(t *testing.T) {
 	truth := newTableTruth(16)
 	c := newClient()
 	c.State.LastConsistent = des.Time(10 * des.Second)
+	c.Cache.Put(2, 1, des.Time(des.Second)) // ahead of its truth: never convicted
 	c.Cache.Put(1, 1, des.Time(des.Second))
 
 	// Truth settled, newer version, update covered by the consistency
-	// point: a genuine violation.
+	// point: a genuine violation, and the entry named is the offender.
 	truth.set(1, 2, des.Time(5*des.Second))
-	if got := c.StaleEntries(truth); got != 1 {
-		t.Fatalf("settled newer truth: StaleEntries = %d, want 1", got)
+	if got, first := c.StaleEntries(truth); got != 1 || first.ID != 1 || first.Version != 1 {
+		t.Fatalf("settled newer truth: StaleEntries = %d, first %+v; want 1, item 1 at version 1", got, first)
 	}
 
 	// Update past the consistency point: not yet the protocol's problem.
 	truth.set(1, 2, des.Time(12*des.Second))
-	if got := c.StaleEntries(truth); got != 0 {
+	if got, _ := c.StaleEntries(truth); got != 0 {
 		t.Fatalf("uncovered update flagged: StaleEntries = %d, want 0", got)
 	}
 
@@ -81,19 +82,19 @@ func TestStaleEntriesRules(t *testing.T) {
 	// outside (the op may have executed after the covering report within
 	// the same clock grain), so the sweep must not convict on the tie.
 	truth.set(1, 2, des.Time(10*des.Second))
-	if got := c.StaleEntries(truth); got != 0 {
+	if got, _ := c.StaleEntries(truth); got != 0 {
 		t.Fatalf("tie at the consistency point flagged: StaleEntries = %d, want 0", got)
 	}
 
 	// Truth in flux (des.Never): suppressed until it settles.
 	truth.set(1, 99, des.Never)
-	if got := c.StaleEntries(truth); got != 0 {
+	if got, _ := c.StaleEntries(truth); got != 0 {
 		t.Fatalf("in-flux truth flagged: StaleEntries = %d, want 0", got)
 	}
 
 	// Truth lagging the wire (entry version ahead): never a violation.
 	truth.set(1, 0, 0)
-	if got := c.StaleEntries(truth); got != 0 {
+	if got, _ := c.StaleEntries(truth); got != 0 {
 		t.Fatalf("lagging truth flagged: StaleEntries = %d, want 0", got)
 	}
 }

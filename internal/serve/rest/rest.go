@@ -1,6 +1,6 @@
 // Package rest is wdcserved's HTTP control and observability plane: JSON
-// endpoints for status, capability discovery, live algorithm swap, update
-// injection, environment signals and virtual-clock advancement, plus
+// endpoints for status, capability discovery, update injection,
+// environment signals and virtual-clock advancement, plus
 // Prometheus metrics and pprof. The data planes stay binary (UDP broadcast,
 // TCP query frames); HTTP carries only control traffic, so plain
 // encoding/json is fine here.
@@ -13,7 +13,6 @@ import (
 	"net/http/pprof"
 
 	"repro/internal/des"
-	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -31,27 +30,6 @@ func Handler(s *serve.Server) http.Handler {
 			Set   any      `json:"set"`
 			Names []string `json:"names"`
 		}{cs, cs.Names()}, err)
-	})
-	mux.HandleFunc("/v1/algo", func(w http.ResponseWriter, r *http.Request) {
-		if !post(w, r) {
-			return
-		}
-		var req struct {
-			Algo string `json:"algo"`
-		}
-		if !decode(w, r, &req) {
-			return
-		}
-		cfg, err := s.RuntimeConfig()
-		if err == nil {
-			err = s.SetAlgo(req.Algo, cfg.IR)
-		}
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		st, err := s.Status()
-		reply(w, st, err)
 	})
 	mux.HandleFunc("/v1/update", func(w http.ResponseWriter, r *http.Request) {
 		if !post(w, r) {
@@ -135,9 +113,6 @@ func Handler(s *serve.Server) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
-
-// Params re-exported for control clients building algo-swap payloads.
-type Params = ir.Params
 
 func post(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {

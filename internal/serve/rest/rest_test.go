@@ -6,17 +6,19 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/serve"
 	"repro/internal/serve/rest"
 )
 
-func newTestPlane(t *testing.T) (*serve.Server, *httptest.Server) {
+func newTestPlane(t *testing.T, algo string) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	rc := serve.DefaultRuntimeConfig()
-	rc.Algo = "hybrid"
+	rc.Algo = algo
 	rc.DB.NumItems = 32
 	rc.DB.HotItems = 8
 	rc.IR.NumItems = rc.DB.NumItems
@@ -49,7 +51,7 @@ func postJSON(t *testing.T, url string, body string, out any) *http.Response {
 }
 
 func TestControlPlaneRoundTrip(t *testing.T) {
-	_, hs := newTestPlane(t)
+	_, hs := newTestPlane(t, "hybrid")
 
 	var st serve.Status
 	resp, err := http.Get(hs.URL + "/v1/status")
@@ -62,36 +64,6 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if st.Algo != "hybrid" {
 		t.Fatalf("algo %q", st.Algo)
-	}
-
-	// The hybrid scheme piggybacks and the owned db ingests: all five
-	// capabilities must be discoverable.
-	var caps struct {
-		Names []string `json:"names"`
-	}
-	resp, err = http.Get(hs.URL + "/v1/capabilities")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&caps); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(caps.Names) != 5 {
-		t.Fatalf("capabilities %v, want all five", caps.Names)
-	}
-
-	// Live algorithm swap narrows the capability set: ts has no piggyback.
-	if resp := postJSON(t, hs.URL+"/v1/algo", `{"algo":"ts"}`, &st); resp.StatusCode != http.StatusOK {
-		t.Fatalf("algo swap: %s", resp.Status)
-	}
-	if st.Algo != "ts" {
-		t.Fatalf("algo after swap %q", st.Algo)
-	}
-	for _, name := range st.Capabilities {
-		if name == "piggyback" {
-			t.Fatal("ts must not present the piggyback capability")
-		}
 	}
 
 	// Update injection bumps the item version; signals and advance succeed.
@@ -121,30 +93,56 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"wdcserved_broadcasts_total", "wdcserved_queries_total", `wdcserved_info{algo="ts"}`} {
+	for _, want := range []string{"wdcserved_broadcasts_total", "wdcserved_queries_total", `wdcserved_info{algo="hybrid"}`} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
 }
 
+// TestCapabilitiesPerScheme checks that every scheme presents exactly the
+// capabilities it supports: the owned database always ingests, and only
+// tair and hybrid piggyback a digest on responses.
+func TestCapabilitiesPerScheme(t *testing.T) {
+	for _, algo := range ir.Names {
+		t.Run(algo, func(t *testing.T) {
+			_, hs := newTestPlane(t, algo)
+			want := []string{"report", "query", "ingest", "catchup"}
+			if algo == "tair" || algo == "hybrid" {
+				want = []string{"report", "piggyback", "query", "ingest", "catchup"}
+			}
+			resp, err := http.Get(hs.URL + "/v1/capabilities")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var caps struct {
+				Names []string `json:"names"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&caps); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(caps.Names, want) {
+				t.Fatalf("capabilities %v, want %v", caps.Names, want)
+			}
+		})
+	}
+}
+
 func TestControlPlaneRejectsBadRequests(t *testing.T) {
-	_, hs := newTestPlane(t)
+	_, hs := newTestPlane(t, "hybrid")
 	// Control mutations are POST-only.
-	resp, err := http.Get(hs.URL + "/v1/algo")
+	resp, err := http.Get(hs.URL + "/v1/update")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/algo: %s", resp.Status)
+		t.Fatalf("GET /v1/update: %s", resp.Status)
 	}
-	// Unknown fields and unknown algorithms are 400s, not silent.
-	if resp := postJSON(t, hs.URL+"/v1/algo", `{"algo":"ts","bogus":1}`, nil); resp.StatusCode != http.StatusBadRequest {
+	// Unknown fields and out-of-range items are 400s, not silent.
+	if resp := postJSON(t, hs.URL+"/v1/update", `{"item":1,"bogus":1}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: %s", resp.Status)
-	}
-	if resp := postJSON(t, hs.URL+"/v1/algo", `{"algo":"nope"}`, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown algo: %s", resp.Status)
 	}
 	if resp := postJSON(t, hs.URL+"/v1/update", `{"item":99999}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range item: %s", resp.Status)
@@ -152,11 +150,11 @@ func TestControlPlaneRejectsBadRequests(t *testing.T) {
 }
 
 // TestControlPlaneErrorPaths drives every mutating endpoint through its
-// rejection paths — wrong method, malformed JSON, unknown algorithm, wrong
-// field types, oversized bodies past the 1 MiB cap — and asserts both the
-// intended status code and that the runtime absorbed no state change.
+// rejection paths — wrong method, malformed JSON, wrong field types,
+// oversized bodies past the 1 MiB cap — and asserts both the intended status
+// code and that the runtime absorbed no state change.
 func TestControlPlaneErrorPaths(t *testing.T) {
-	_, hs := newTestPlane(t)
+	_, hs := newTestPlane(t, "hybrid")
 
 	// controlState is the part of Status a rejected request must not move.
 	type controlState struct {
@@ -179,8 +177,8 @@ func TestControlPlaneErrorPaths(t *testing.T) {
 		return controlState{st.Algo, st.NowUS, st.UpdatesApplied, st.Broadcasts}
 	}
 
-	oversized := `{"algo":"` + strings.Repeat("x", 1<<20) + `"}`
-	endpoints := []string{"/v1/algo", "/v1/update", "/v1/signals", "/v1/advance"}
+	oversized := `{"pad":"` + strings.Repeat("x", 1<<20) + `"}`
+	endpoints := []string{"/v1/update", "/v1/signals", "/v1/advance"}
 	cases := []struct {
 		name   string
 		method string
@@ -188,15 +186,10 @@ func TestControlPlaneErrorPaths(t *testing.T) {
 		body   string
 		want   int
 	}{
-		{"algo GET", http.MethodGet, "/v1/algo", "", http.StatusMethodNotAllowed},
 		{"update GET", http.MethodGet, "/v1/update", "", http.StatusMethodNotAllowed},
 		{"signals DELETE", http.MethodDelete, "/v1/signals", "", http.StatusMethodNotAllowed},
 		{"advance PUT", http.MethodPut, "/v1/advance", `{"to_us":1}`, http.StatusMethodNotAllowed},
-		{"algo truncated JSON", http.MethodPost, "/v1/algo", `{"algo":"ts"`, http.StatusBadRequest},
-		{"algo non-JSON body", http.MethodPost, "/v1/algo", `ts`, http.StatusBadRequest},
-		{"algo wrong type", http.MethodPost, "/v1/algo", `{"algo":7}`, http.StatusBadRequest},
-		{"algo unknown name", http.MethodPost, "/v1/algo", `{"algo":"lru"}`, http.StatusBadRequest},
-		{"algo empty name", http.MethodPost, "/v1/algo", `{"algo":""}`, http.StatusBadRequest},
+		{"update non-JSON body", http.MethodPost, "/v1/update", `item=3`, http.StatusBadRequest},
 		{"update wrong type", http.MethodPost, "/v1/update", `{"item":"three"}`, http.StatusBadRequest},
 		{"update negative item", http.MethodPost, "/v1/update", `{"item":-1}`, http.StatusBadRequest},
 		{"update unknown field", http.MethodPost, "/v1/update", `{"item":1,"extra":true}`, http.StatusBadRequest},

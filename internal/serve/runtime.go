@@ -72,9 +72,6 @@ type Runtime struct {
 	snrs []float64
 	load float64
 
-	cfg        RuntimeConfig
-	tickers    []*des.Ticker // tickers owned by the current algorithm
-	inTicker   bool
 	broadcasts uint64
 	queries    uint64
 	ingested   uint64
@@ -103,27 +100,19 @@ func NewRuntime(cfg RuntimeConfig, sink func(mcs int, datagram []byte)) (*Runtim
 	if sink == nil {
 		sink = func(int, []byte) {}
 	}
-	rt := &Runtime{sch: des.NewScheduler(), amc: radio.DefaultAMC(), sink: sink, cfg: cfg}
+	rt := &Runtime{sch: des.NewScheduler(), amc: radio.DefaultAMC(), sink: sink}
 	d, err := db.New(rt.sch, cfg.DB, rng.Stream(cfg.Seed, "db"))
 	if err != nil {
 		return nil, err
 	}
 	rt.db = d
-	if err := rt.installAlgo(cfg.Algo, cfg.IR); err != nil {
-		return nil, err
-	}
-	return rt, nil
-}
-
-// installAlgo composes the backend for the named scheme and caches its
-// capability facets.
-func (rt *Runtime) installAlgo(name string, p ir.Params) error {
+	p := cfg.IR
 	if p.NumItems == 0 {
-		p.NumItems = rt.db.NumItems()
+		p.NumItems = d.NumItems()
 	}
-	algo, err := ir.New(name, p)
+	algo, err := ir.New(cfg.Algo, p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	backend := NewBackend(algo, runtimeStore{rt})
 	rt.backend = backend
@@ -131,33 +120,13 @@ func (rt *Runtime) installAlgo(name string, p ir.Params) error {
 	rt.catchup = backend.(capabilities.CatchupProvider)
 	rt.ingest, _ = backend.(capabilities.UpdateIngester)
 	rt.piggy, _ = backend.(capabilities.PiggybackSource)
-	rt.cfg.Algo, rt.cfg.IR = name, p
-	return nil
+	return rt, nil
 }
 
 // Start arms the database update process and the report schedule.
 func (rt *Runtime) Start() {
 	rt.db.Start()
 	rt.backend.StartReports(rt)
-}
-
-// SetAlgo swaps the serving algorithm live: the outgoing scheme's tickers
-// are stopped, the new backend starts its schedule from the current clock.
-// Clients keyed to the old stream recover exactly as they do from a report
-// gap — the coverage-window rule or a catch-up exchange.
-func (rt *Runtime) SetAlgo(name string, p ir.Params) error {
-	if rt.inTicker {
-		return fmt.Errorf("serve: algo swap from inside a report tick")
-	}
-	for _, t := range rt.tickers {
-		t.Stop()
-	}
-	rt.tickers = rt.tickers[:0]
-	if err := rt.installAlgo(name, p); err != nil {
-		return err
-	}
-	rt.backend.StartReports(rt)
-	return nil
 }
 
 // AdvanceTo runs every event scheduled at or before t and leaves the clock
@@ -249,9 +218,6 @@ func (rt *Runtime) Caps() capabilities.Set { return capabilities.Detect(rt.backe
 // conformance oracle checks client caches against.
 func (rt *Runtime) DBItem(id int) db.Item { return rt.db.Item(id) }
 
-// Config reports the active configuration.
-func (rt *Runtime) Config() RuntimeConfig { return rt.cfg }
-
 // Status snapshots the runtime.
 func (rt *Runtime) Status() Status {
 	return Status{
@@ -285,16 +251,9 @@ func (rt *Runtime) UpdatedSince(since des.Time, buf []db.Update) []db.Update {
 // Broadcast implements ir.ServerEnv: the report leaves as a datagram.
 func (rt *Runtime) Broadcast(r *ir.Report, mcs int) { rt.emit(r, mcs) }
 
-// NewTicker implements ir.ServerEnv, tracking ownership so SetAlgo can stop
-// the outgoing scheme's schedule.
+// NewTicker implements ir.ServerEnv.
 func (rt *Runtime) NewTicker(period des.Duration, name string, fn func(des.Time)) *des.Ticker {
-	t := des.NewTicker(rt.sch, period, name, func(now des.Time) {
-		rt.inTicker = true
-		fn(now)
-		rt.inTicker = false
-	})
-	rt.tickers = append(rt.tickers, t)
-	return t
+	return des.NewTicker(rt.sch, period, name, fn)
 }
 
 // AwakeSNRs implements ir.ServerEnv from the pushed signal state.

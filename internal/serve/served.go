@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/des"
-	"repro/internal/ir"
 	"repro/internal/serve/capabilities"
 )
 
@@ -204,12 +203,6 @@ func (s *Server) AdvanceTo(t des.Time) (broadcasts uint64, err error) {
 	return broadcasts, aerr
 }
 
-// RuntimeConfig reports the runtime's active configuration.
-func (s *Server) RuntimeConfig() (cfg RuntimeConfig, err error) {
-	err = s.Do(func(rt *Runtime) { cfg = rt.Config() })
-	return cfg, err
-}
-
 // Status snapshots the runtime, folding in the mailbox gauges only the
 // Server can see: the instantaneous queue depth and its high-water mark.
 func (s *Server) Status() (st Status, err error) {
@@ -221,23 +214,10 @@ func (s *Server) Status() (st Status, err error) {
 	return st, err
 }
 
-// QueueHighWater reports the deepest the actor mailbox has been since start —
-// the load harness's cheap read when it only wants the pressure gauge.
-func (s *Server) QueueHighWater() int { return int(s.queueMax.Load()) }
-
 // Caps reports the backend's capability set.
 func (s *Server) Caps() (cs capabilities.Set, err error) {
 	err = s.Do(func(rt *Runtime) { cs = rt.Caps() })
 	return cs, err
-}
-
-// SetAlgo swaps the serving algorithm live.
-func (s *Server) SetAlgo(name string, p ir.Params) error {
-	var serr error
-	if err := s.Do(func(rt *Runtime) { serr = rt.SetAlgo(name, p) }); err != nil {
-		return err
-	}
-	return serr
 }
 
 // Inject applies one externally originated database update.
