@@ -16,7 +16,7 @@ help:
 	@echo "load-smoke      wall-clock load harness smoke under -race: small fleets, all algorithms"
 	@echo "check           pre-commit gate: build + vet + race + smoke-multicell + smoke-parallel + smoke-served + load-smoke"
 	@echo "sweep           regenerate the full evaluation into results/"
-	@echo "bench-smoke     run the engine and tracer benchmarks once each"
+	@echo "bench-smoke     run the engine, tracer and uplink benchmarks once each"
 	@echo "city-rss        100k-client 16-cell city point: peak RSS under 1 GiB, zero stale answers"
 	@echo "load-fleet      100- and 1000-client fleets, all algorithms, spawned wdcserved: zero stale answers"
 	@echo "fuzz-smoke      native-fuzz pass over every fuzz target (FUZZTIME each, default 30s)"
@@ -79,11 +79,13 @@ check: build vet race smoke-multicell smoke-parallel smoke-served load-smoke
 sweep: build
 	$(GO) run ./cmd/wdcsweep -exp all -out results -resume
 
-# bench-smoke runs the engine and tracer-overhead benchmarks once each, and
-# the obs micro-benchmarks, so they keep compiling and running to completion.
-# It compares no timing; bash bench/run.sh is the performance measurement.
+# bench-smoke runs the engine and tracer-overhead benchmarks once each, the
+# uplink's light and saturated cases once each, and the obs micro-benchmarks,
+# so they keep compiling and running to completion. It compares no timing;
+# bash bench/run.sh is the performance measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Engine|TracerOverhead' -benchtime 1x .
+	$(GO) test -run '^$$' -bench Uplink -benchtime 1x ./internal/mac
 	$(GO) test -run '^$$' -bench . ./internal/obs
 
 # city-rss runs the 100k-client 16-cell city point (seed 7, half the

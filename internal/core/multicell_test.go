@@ -267,3 +267,46 @@ func TestTopologyMobilityExclusive(t *testing.T) {
 		t.Fatal("Validate accepted Channel.Mobility together with multi-cell Topology")
 	}
 }
+
+// collapsedCityConfig is the benchmark's des-city smoke shape: 2,000 clients
+// in four cells, 500 per cell, past the uplink's saturation cliff. Most of
+// the run is slotted-ALOHA contention (about 9 attempts per request and 15k
+// collisions), so these pins guard the uplink's slot and draw order and its
+// per-attempt energy accounting in the regime where they are hottest.
+func collapsedCityConfig(parallel bool) Config {
+	cfg := DefaultConfig()
+	cfg.NumClients = 2_000
+	cfg.Topology.NumCells = 4
+	cfg.Horizon = 120 * des.Second
+	cfg.Warmup = 30 * des.Second
+	cfg.Seed = 1
+	cfg.Workload.SleepRatio = 0.5
+	cfg.Topology.CheckPeriod = 5 * des.Second
+	if parallel {
+		cfg.Parallel = true
+		cfg.ParallelWorkers = 1
+	}
+	return cfg
+}
+
+// TestCollapsedCityGolden pins the collapsed multi-cell shape byte for byte,
+// energy included, on the serial engine and on the lane engine at one
+// worker. The other multi-cell tests compare reruns and worker counts only;
+// these strings hold across commits.
+func TestCollapsedCityGolden(t *testing.T) {
+	for _, g := range []struct {
+		name     string
+		parallel bool
+		want     string
+	}{
+		{"serial", false, "q=13667 ans=11038 hit=452 miss=10586 d=16.499484258833 ci=0.5831649615720585 p95=29.027232520630285 max=45.16105 stale=0 drops=111 sig=0 fi=0 rd=8099 rl=3 via=[6224 0 0] up=12480 att=115972 col=15350 airIR=0.08191999999999999 airR=151.33462300000951 airBG=135.0050959999999 util=0.795615663888915 ir=10432 pig=0 rtry=1242 drop=103 e=139055.4428805199 upd=16 pend=2629 cells=4 hoff=267 flush=267 asleep=59 midq=51 depart=108"},
+		{"lanes-p1", true, "q=13666 ans=11006 hit=440 miss=10566 d=16.521562481373802 ci=0.5632026397144504 p95=29.027232520630285 max=50.729917 stale=0 drops=113 sig=0 fi=0 rd=8071 rl=5 via=[6196 0 0] up=12454 att=116032 col=15434 airIR=0.08191999999999999 airR=149.85028400000888 airBG=135.01412999999997 util=0.791517594444469 ir=10432 pig=0 rtry=1209 drop=103 e=139080.2818338532 upd=16 pend=2660 cells=4 hoff=267 flush=267 asleep=58 midq=55 depart=104"},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			sim, r := runMulti(t, collapsedCityConfig(g.parallel))
+			if got := fingerprintMulti(sim, r); got != g.want {
+				t.Errorf("collapsed city fingerprint diverged\n got: %s\nwant: %s", got, g.want)
+			}
+		})
+	}
+}
