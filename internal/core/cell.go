@@ -156,7 +156,7 @@ func newCell(sim *Simulation, k, numCells int, arena *Arena) (*Cell, error) {
 	cell.downlink.SetCell(k)
 	cell.uplink = mac.NewUplink(cell.sch, cfg.Uplink, rng.Stream(cfg.Seed, cellStream("uplink", k, numCells)),
 		func(src int, meta any, now des.Time) { cell.server.onRequest(src, meta, now) })
-	cell.uplink.SetAttemptHook(cell.onUplinkAttempt)
+	cell.uplink.SetAttemptHook(cell.onUplinkSlot)
 
 	algo, err := ir.New(cfg.Algorithm, cfg.IR)
 	if err != nil {

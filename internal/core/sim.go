@@ -114,7 +114,7 @@ type Simulation struct {
 }
 
 type snapshotUplink struct {
-	sent, attempts, collisions, losses, delivered uint64
+	sent, attempts, collisions uint64
 }
 
 // NewSimulation validates cfg and wires every component.
@@ -376,8 +376,6 @@ func (s *Simulation) resetAtWarmup() {
 			sent:       up.Sent.Value(),
 			attempts:   up.Attempts.Value(),
 			collisions: up.Collisions.Value(),
-			losses:     up.Losses.Value(),
-			delivered:  up.Delivered.Value(),
 		}
 		cell.snapIR = cell.server.irBitsSent
 		cell.snapPig = cell.server.piggyBitsSent
@@ -388,20 +386,25 @@ func (s *Simulation) resetAtWarmup() {
 	}
 }
 
-// onUplinkAttempt charges transmit energy for one contention slot. It is a
-// Cell method so the warmup gate reads the lane clock, and so a parallel run
-// can skip the meter write when the client was handed to another cell with
-// the attempt still queued — its meter belongs to the other lane. (Serial
-// runs keep charging departed clients, matching the historical accounting.)
-func (cell *Cell) onUplinkAttempt(src int) {
+// onUplinkSlot charges transmit energy for one resolved contention slot: one
+// slot of airtime to each transmitting client, in the slot's FIFO order. It
+// is a Cell method so the warmup gate reads the lane clock, and so a parallel
+// run can skip the meter write when the client was handed to another cell
+// with the attempt still queued — its meter belongs to the other lane.
+// (Serial runs keep charging departed clients, matching the historical
+// accounting.)
+func (cell *Cell) onUplinkSlot(srcs []int32) {
 	s := cell.sim
 	if cell.sch.Now() < s.warmupAt {
 		return
 	}
-	if s.par && int(s.ct.cell[src]) != cell.id {
-		return
+	tx := s.cfg.Uplink.SlotDur.Seconds()
+	for _, src := range srcs {
+		if s.par && int(s.ct.cell[src]) != cell.id {
+			continue
+		}
+		s.ct.meters[src].AddTx(tx)
 	}
-	s.ct.meters[src].AddTx(s.cfg.Uplink.SlotDur.Seconds())
 }
 
 func (s *Simulation) chargeRx(id int, airtimeSec float64, now des.Time) {

@@ -36,21 +36,33 @@ type UplinkStats struct {
 	Collisions metrics.Counter // slots with more than one transmission
 	Losses     metrics.Counter // solo transmissions lost to channel noise
 	Delivered  metrics.Counter
-	Delay      metrics.Series // Send → delivery, seconds
 }
 
+// blockLen is how many attempts one slot-queue block holds. At paper-default
+// load most slots carry one attempt; in a collapsed city cell a slot carries
+// 20-40 and spans two or three blocks.
+const blockLen = 16
+
+// attempt is one pending request, stored by value in its slot's block.
 type attempt struct {
-	src   int
-	meta  any
-	sent  des.Time
-	tries int
-	next  *attempt // intrusive link: slot queue when pending, free list when idle
+	meta any
+	src  int32
+	exp  int32 // backoff exponent of the last retry, capped at MaxBackoffExp
 }
 
-// slotQueue is the FIFO of attempts contending in one slot, linked through
-// attempt.next so enqueueing never allocates.
+// slotBlock is one link of a slot's FIFO: blockLen attempts inline, in
+// arrival order. Blocks recycle through the uplink's free list, so
+// contention in steady state allocates nothing.
+type slotBlock struct {
+	next *slotBlock // slot queue when armed, free list when idle
+	recs [blockLen]attempt
+}
+
+// slotQueue is the FIFO of attempts contending in one slot: a chain of
+// blocks, all full but the tail. Block fill is derived from n, so appending
+// stores into the tail block without first loading from it.
 type slotQueue struct {
-	head, tail *attempt
+	head, tail *slotBlock
 	n          int
 }
 
@@ -77,10 +89,11 @@ type Uplink struct {
 	// the clock instead of captured in a per-arming closure.
 	resolveFn func()
 
-	free *attempt // recycled attempts, linked through next
+	free *slotBlock // recycled blocks, linked through next
 
 	stats     UplinkStats
-	onAttempt func(src int)
+	onAttempt func(srcs []int32)
+	srcs      []int32 // onAttempt's argument, reused across slots
 }
 
 // NewUplink builds the uplink. deliver must be non-nil.
@@ -116,35 +129,40 @@ func NewUplink(sch *des.Scheduler, cfg UplinkConfig, src *rng.Source, deliver Up
 func (u *Uplink) Stats() *UplinkStats { return &u.stats }
 
 // SetAttemptHook installs fn to observe every slot transmission (including
-// retries) by source client; energy accounting uses it.
-func (u *Uplink) SetAttemptHook(fn func(src int)) { u.onAttempt = fn }
+// retries): one call per resolved slot, passing the slot's source clients in
+// FIFO order. The slice is reused after fn returns. Energy accounting uses it.
+func (u *Uplink) SetAttemptHook(fn func(srcs []int32)) { u.onAttempt = fn }
 
 // Send submits a request from client src. The first transmission lands
 // uniformly within the initial window starting at the next slot; collisions
 // are retried with binary exponential backoff until delivered.
 func (u *Uplink) Send(src int, meta any) {
-	u.stats.Sent.Inc()
-	a := u.acquire()
-	a.src, a.meta, a.sent = src, meta, u.sch.Now()
-	jitter := int64(u.src.Uint64n(uint64(u.cfg.InitialWindow)))
-	u.scheduleIn(a, u.nextSlot()+jitter)
-}
-
-// acquire pops a recycled attempt or allocates a fresh one.
-func (u *Uplink) acquire() *attempt {
-	if a := u.free; a != nil {
-		u.free = a.next
-		*a = attempt{}
-		return a
+	if int(int32(src)) != src {
+		panic(fmt.Sprintf("mac: uplink source %d out of int32 range", src))
 	}
-	return &attempt{}
+	u.stats.Sent.Inc()
+	jitter := int64(u.src.Uint64n(uint64(u.cfg.InitialWindow)))
+	u.push(u.nextSlot()+jitter, attempt{meta: meta, src: int32(src)})
 }
 
-// releaseAttempt returns a delivered attempt to the free list, dropping its
-// meta reference.
-func (u *Uplink) releaseAttempt(a *attempt) {
-	*a = attempt{next: u.free}
-	u.free = a
+// acquire pops a recycled block or allocates a fresh one.
+func (u *Uplink) acquire() *slotBlock {
+	if b := u.free; b != nil {
+		u.free = b.next
+		b.next = nil
+		return b
+	}
+	return new(slotBlock)
+}
+
+// release returns a resolved block holding n attempts to the free list,
+// dropping their meta references.
+func (u *Uplink) release(b *slotBlock, n int) {
+	for i := range n {
+		b.recs[i].meta = nil
+	}
+	b.next = u.free
+	u.free = b
 }
 
 // nextSlot reports the first slot index whose start is strictly after now.
@@ -152,56 +170,74 @@ func (u *Uplink) nextSlot() int64 {
 	return int64(u.sch.Now())/int64(u.cfg.SlotDur) + 1
 }
 
-func (u *Uplink) scheduleIn(a *attempt, slot int64) {
+// push appends a to slot's FIFO.
+func (u *Uplink) push(slot int64, a attempt) {
 	q := &u.ring[slot&u.ringMask]
-	a.next = nil
-	if q.head == nil {
-		q.head = a
-	} else {
-		q.tail.next = a
+	i := q.n % blockLen
+	if i == 0 {
+		u.grow(q, slot)
 	}
-	q.tail = a
+	q.tail.recs[i] = a
 	q.n++
-	if q.n == 1 {
-		end := des.Time((slot + 1) * int64(u.cfg.SlotDur))
-		u.sch.At(end, "mac.ulslot", u.resolveFn)
+}
+
+// grow links a fresh tail block into q, arming the slot's resolution event
+// when q was empty.
+func (u *Uplink) grow(q *slotQueue, slot int64) {
+	b := u.acquire()
+	if q.n == 0 {
+		q.head = b
+		u.sch.At(des.Time((slot+1)*int64(u.cfg.SlotDur)), "mac.ulslot", u.resolveFn)
+	} else {
+		q.tail.next = b
 	}
+	q.tail = b
 }
 
 func (u *Uplink) resolve(slot int64) {
 	q := u.ring[slot&u.ringMask]
 	u.ring[slot&u.ringMask] = slotQueue{}
+	if q.n == 0 {
+		return
+	}
 	now := u.sch.Now()
 	u.stats.Attempts.Add(uint64(q.n))
 	if u.onAttempt != nil {
-		for a := q.head; a != nil; a = a.next {
-			u.onAttempt(a.src)
+		srcs := u.srcs[:0]
+		left := q.n
+		for b := q.head; b != nil; b = b.next {
+			for _, a := range b.recs[:min(left, blockLen)] {
+				srcs = append(srcs, a.src)
+			}
+			left -= blockLen
 		}
+		u.srcs = srcs
+		u.onAttempt(srcs)
 	}
 	switch {
-	case q.n == 0:
-		return
 	case q.n == 1 && !u.src.Bool(u.cfg.LossProb):
-		a := q.head
+		a := q.head.recs[0]
+		u.release(q.head, 1) // deliver may Send, reusing the block
 		u.stats.Delivered.Inc()
-		u.stats.Delay.Observe(now.Sub(a.sent).Seconds())
-		u.deliver(a.src, a.meta, now)
-		u.releaseAttempt(a)
+		u.deliver(int(a.src), a.meta, now)
 		return
 	case q.n == 1:
 		u.stats.Losses.Inc()
 	default:
 		u.stats.Collisions.Inc()
 	}
-	for a := q.head; a != nil; {
-		next := a.next // scheduleIn relinks a into another slot's queue
-		a.tries++
-		exp := a.tries
-		if exp > u.cfg.MaxBackoffExp {
-			exp = u.cfg.MaxBackoffExp
+	maxExp := int32(u.cfg.MaxBackoffExp)
+	left := q.n
+	for b := q.head; b != nil; {
+		n := min(left, blockLen)
+		for _, a := range b.recs[:n] {
+			a.exp = min(a.exp+1, maxExp)
+			window := uint64(u.cfg.InitialWindow) << uint(a.exp)
+			u.push(slot+1+int64(u.src.Uint64n(window)), a)
 		}
-		window := int64(u.cfg.InitialWindow) << uint(exp)
-		u.scheduleIn(a, slot+1+int64(u.src.Uint64n(uint64(window))))
-		a = next
+		left -= n
+		next := b.next
+		u.release(b, n)
+		b = next
 	}
 }

@@ -94,12 +94,15 @@ func (e *Engine) AnswerQuery(item int, now des.Time) (capabilities.Answer, error
 // broadcast fan-out, so it must not be recycled through the backend's pool.
 func (e *Engine) CatchupSince(since, now des.Time) *ir.Report {
 	r := &ir.Report{Kind: ir.KindFull, At: now, PrevAt: now, WindowStart: now}
-	if now.Sub(since) <= e.store.Retention() {
+	// Compared without subtracting since, which a hostile peer can set so
+	// that now - since overflows.
+	if since <= now && since >= now.Add(-e.store.Retention()) {
 		r.WindowStart = since
 		r.Items = e.store.UpdatedSince(since, nil)
 	}
-	// else: the gap outlived the store's update history; the empty
-	// now-anchored full report forces the client's safe drop-everything path.
+	// else: the gap outlived the store's update history, or since lies in
+	// the future; the empty now-anchored full report forces the client's
+	// safe drop-everything path.
 	return r
 }
 

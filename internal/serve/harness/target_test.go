@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/des"
 	"repro/internal/serve"
 )
 
@@ -59,6 +60,54 @@ func TestStartHandshakeFailures(t *testing.T) {
 			}
 			if d := time.Since(t0); d >= timeout {
 				t.Fatalf("Start took %v, past the %v harness timeout", d, timeout)
+			}
+		})
+	}
+}
+
+// TestCatchupPastClockFrame sends the 13-byte catch-up frame whose u64 since
+// is 2^63 to a server whose clock is past its 10-minute update retention.
+// Decoded as a des.Time that since is negative, and now - since overflows:
+// the server must answer OpError rather than crash its actor, and the
+// connection must still answer a query. It runs in-process, and against a
+// spawned binary when WDCSERVED_BIN names one.
+func TestCatchupPastClockFrame(t *testing.T) {
+	frame := []byte{0x00, 0x00, 0x00, 0x09, serve.OpCatchup, 0x80, 0, 0, 0, 0, 0, 0, 0}
+	bins := []string{""}
+	if bin := os.Getenv("WDCSERVED_BIN"); bin != "" {
+		bins = append(bins, bin)
+	}
+	for _, bin := range bins {
+		name := "in-process"
+		if bin != "" {
+			name = "spawned"
+		}
+		t.Run(name, func(t *testing.T) {
+			tgt, err := Start(bin, serve.Options{Runtime: serve.DefaultRuntimeConfig(), TCPAddr: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tgt.Close()
+			if _, err := tgt.Advance(des.Time(11 * des.Minute)); err != nil {
+				t.Fatal(err)
+			}
+			c, err := Dial(tgt.TCPAddr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.nc.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.recv(); err == nil || !strings.Contains(err.Error(), "server error") {
+				t.Fatalf("catch-up past the clock answered %v, want an OpError", err)
+			}
+			ans, _, err := c.Query(5)
+			if err != nil {
+				t.Fatalf("query after the rejected catch-up: %v", err)
+			}
+			if ans.Item != 5 || ans.AsOf != des.Time(11*des.Minute) {
+				t.Fatalf("query answered %+v", ans)
 			}
 		})
 	}

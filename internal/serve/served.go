@@ -249,9 +249,20 @@ func (s *Server) Query(item int) (ans capabilities.Answer, digest []byte, err er
 }
 
 // Catchup serves the update history since the given consistency point, in
-// wire form.
+// wire form. A consistency point past the server's clock is an error: no
+// client of this server can have reached it. The comparison is unsigned, as
+// the point is on the wire, so a u64 at or above 2^63 (a negative des.Time)
+// is past the clock too.
 func (s *Server) Catchup(since des.Time) (report []byte, err error) {
-	err = s.Do(func(rt *Runtime) { report = rt.Catchup(since).Marshal() })
+	if derr := s.Do(func(rt *Runtime) {
+		if now := rt.Now(); uint64(since) > uint64(now) {
+			err = fmt.Errorf("serve: catchup since %dµs is past the server clock %v", uint64(since), now)
+			return
+		}
+		report = rt.Catchup(since).Marshal()
+	}); derr != nil {
+		return nil, derr
+	}
 	return report, err
 }
 
