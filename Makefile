@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: help build test vet race smoke-multicell smoke-parallel smoke-served load-smoke check sweep bench-smoke city-rss load-fleet soak fuzz-smoke soak-served soak-load
+.PHONY: help build test vet race smoke-multicell smoke-parallel smoke-served load-smoke bench-test check sweep bench-smoke city-rss load-fleet soak fuzz-smoke soak-served soak-load
 
 # help lists the public targets. check is the pre-commit gate; soak is the
 # nightly chaos run and is deliberately NOT part of check.
@@ -14,7 +14,8 @@ help:
 	@echo "smoke-parallel  epoch-parallel engine smoke under -race: chaos at P=1 vs P=NumCPU"
 	@echo "smoke-served    wdcserved conformance under -race: DES model as lock-step oracle"
 	@echo "load-smoke      wall-clock load harness smoke under -race: small fleets, all algorithms"
-	@echo "check           pre-commit gate: build + vet + race + smoke-multicell + smoke-parallel + smoke-served + load-smoke"
+	@echo "bench-test      vet and test the bench/ module, which go build ./... does not compile"
+	@echo "check           pre-commit gate: build + vet + race + smoke-multicell + smoke-parallel + smoke-served + load-smoke + bench-test"
 	@echo "sweep           regenerate the full evaluation into results/"
 	@echo "bench-smoke     run the engine, tracer and uplink benchmarks once each"
 	@echo "city-rss        100k-client 16-cell city point: peak RSS under 1 GiB, zero stale answers"
@@ -72,8 +73,14 @@ smoke-served:
 load-smoke:
 	$(GO) test -race -count=1 ./internal/loadgen
 
+# bench-test vets and tests the benchmark (bash bench/run.sh). bench/ is its
+# own module, so neither go build ./... nor go test ./... compiles it, yet it
+# builds against the served engine's API.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # check is the pre-commit gate.
-check: build vet race smoke-multicell smoke-parallel smoke-served load-smoke
+check: build vet race smoke-multicell smoke-parallel smoke-served load-smoke bench-test
 
 # sweep regenerates the full evaluation into results/ (resumable).
 sweep: build
@@ -104,8 +111,9 @@ load-fleet:
 
 # fuzz-smoke runs every fuzz target (the ir and serve wire decoders, and the
 # des ladder queue's pop order) for FUZZTIME from its committed seed corpus
-# (internal/{ir,serve,des}/testdata/fuzz). The 30s default gates a PR; the
-# nightly workflow runs the same list with FUZZTIME=10m.
+# (internal/{ir,serve,des}/testdata/fuzz). FuzzFrameRead also dispatches each
+# frame it decodes to a live in-process server. The 30s default gates each
+# change in CI; the nightly workflow runs the same list with FUZZTIME=10m.
 fuzz-smoke:
 	$(GO) test -run '^FuzzUnmarshal$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/ir
 	$(GO) test -run '^FuzzReportDecode$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/ir

@@ -1,6 +1,6 @@
 // Command wdcserved serves the invalidation-report engine over the wire:
-// the same capability backends the simulation core runs, bound to real
-// sockets instead of the DES.
+// the same eight algorithms the simulation core runs, bound to real sockets
+// instead of the DES.
 //
 //   - UDP broadcast plane: every invalidation report the algorithm schedules
 //     leaves as one datagram (u8 mcs | ir wire form) to -udp-target.

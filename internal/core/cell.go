@@ -233,7 +233,7 @@ func (cell *Cell) deliver(f *mac.Frame, ok bool, mcs int, now des.Time) {
 				s.client(id).onReportLost()
 			}
 		}
-		cell.server.reports.RecycleReport(m)
+		cell.server.algo.Recycle(m)
 	case *respMeta:
 		cell.server.onResponseDelivered(m)
 		switch dest := f.Dest; {
@@ -323,7 +323,7 @@ func (cell *Cell) fanPiggy(pg *ir.Report, robustBits int, now des.Time) {
 			s.client(id).onReportLost()
 		}
 	}
-	cell.server.reports.RecycleReport(pg)
+	cell.server.algo.Recycle(pg)
 }
 
 // deliverFaultedReport applies an injected fate to a standalone report that
@@ -346,7 +346,7 @@ func (cell *Cell) deliverFaultedReport(r *ir.Report, fate fault.Fate, airtime fl
 		}
 	}
 	cell.noteReportFault(r.Seq, mode)
-	cell.server.reports.RecycleReport(r)
+	cell.server.algo.Recycle(r)
 }
 
 // traceReport emits a ReportBroadcastEvent for a report leaving this cell's

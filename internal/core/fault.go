@@ -455,10 +455,10 @@ func (c client) cancelCatchup() {
 
 // onCatchupRequest serves a reconnected client the update history since its
 // last consistent point, as a unicast full report on a response-class frame.
-// The report construction (retention clamp, drop-everything fallback) lives
-// in the backend's CatchupProvider facet, shared with wdcserved.
-func (s *server) onCatchupRequest(src int, since des.Time, now des.Time) {
-	r := s.catchup.CatchupSince(since, now)
+// ir.CatchupReport builds the report (retention clamp, drop-everything
+// fallback), as it does for wdcserved.
+func (s *server) onCatchupRequest(src int, since des.Time) {
+	r := ir.CatchupReport(s, since, s.sim.cfg.DB.Retention)
 	s.irBitsSent += uint64(r.SizeBits())
 	s.cell.traceReport(r, obs.CarrierCatchup, 0)
 	f := s.cell.downlink.AcquireFrame()

@@ -9,8 +9,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/obs"
 	"repro/internal/radio"
-	"repro/internal/serve"
-	"repro/internal/serve/capabilities"
 )
 
 // reqMeta travels up the uplink: a cache-miss request.
@@ -37,23 +35,18 @@ type bgMeta struct {
 	piggy *ir.Report
 }
 
-// server is one cell's base-station logic: it composes the capability
-// backend (internal/serve) for the cell's invalidation algorithm over the
-// shared database, serves uplink requests through its facets, and implements
-// ir.ServerEnv for it. The same backend type powers wdcserved, so the
-// simulation exercises exactly the engine the network server ships.
+// server is one cell's base-station logic: it runs the cell's invalidation
+// algorithm, implements ir.ServerEnv for it, and answers uplink requests from
+// the shared database. wdcserved's serve.Runtime hosts the same algorithms
+// the same way, so the simulation exercises exactly the engine the network
+// server ships.
 type server struct {
 	cell *Cell
 	sim  *Simulation
 	dbv  *db.View // lane-private read view of the shared database
 
-	// Capability facets of the composed backend. reports, answers and
-	// catchup are universal; piggy is nil unless the algorithm attaches
-	// digests to data frames (tair, hybrid).
-	reports capabilities.ReportSource
-	piggy   capabilities.PiggybackSource
-	answers capabilities.QueryAnswerer
-	catchup capabilities.CatchupProvider
+	algo  ir.ServerAlgo
+	piggy ir.Piggybacker // nil unless the scheme piggybacks (tair, hybrid)
 
 	// downlink load EWMA for the traffic-aware schemes.
 	loadEWMA   float64
@@ -81,33 +74,17 @@ type server struct {
 const loadSampleEvery = des.Second
 
 func newServer(cell *Cell, algo ir.ServerAlgo) *server {
-	s := &server{cell: cell, sim: cell.sim,
+	return &server{cell: cell, sim: cell.sim,
 		dbv:          cell.sim.db.NewView(cell.sch.Now),
+		algo:         algo,
+		piggy:        ir.AsPiggybacker(algo),
 		inFlightResp: make(map[int]*respMeta)}
-	backend := serve.NewBackend(algo, cellStore{s})
-	s.reports = backend
-	s.answers = backend.(capabilities.QueryAnswerer)
-	s.catchup = backend.(capabilities.CatchupProvider)
-	s.piggy, _ = backend.(capabilities.PiggybackSource)
-	return s
 }
-
-// cellStore adapts the cell's lane-private database view to serve.Store. It
-// is read-only on purpose: the update process owns the shared database, so
-// the cell's backend must not present the ingest capability.
-type cellStore struct{ s *server }
-
-func (cs cellStore) NumItems() int       { return cs.s.sim.db.NumItems() }
-func (cs cellStore) Item(id int) db.Item { return cs.s.sim.db.Item(id) }
-func (cs cellStore) UpdatedSince(since des.Time, buf []db.Update) []db.Update {
-	return cs.s.dbv.UpdatedSince(since, buf)
-}
-func (cs cellStore) Retention() des.Duration { return cs.s.sim.cfg.DB.Retention }
 
 // start arms the algorithm and the load sampler.
 func (s *server) start() {
 	des.NewTicker(s.cell.sch, loadSampleEvery, "server.load", s.sampleLoad).Start()
-	s.reports.StartReports(s)
+	s.algo.Start(s)
 }
 
 // sampleLoad maintains an exponentially weighted estimate of downlink busy
@@ -176,29 +153,26 @@ func (s *server) onRequest(src int, meta any, now des.Time) {
 		return
 	}
 	if cu, ok := meta.(catchupReq); ok {
-		s.onCatchupRequest(src, cu.since, now)
+		s.onCatchupRequest(src, cu.since)
 		return
 	}
 	req := meta.(reqMeta)
-	ans, err := s.answers.AnswerQuery(req.item, now)
-	if err != nil {
-		panic(err) // the client population only queries ids the config declared
-	}
+	it := s.sim.db.Item(req.item) // the client population only queries ids the config declared
 	s.requestsServed++
 	if s.sim.cfg.CoalesceResponses {
 		// Join only if the queued value is still current: a joiner validated
 		// after an update must not be served the pre-update value.
-		if pending, ok := s.inFlightResp[req.item]; ok && pending.version == ans.Version {
+		if pending, ok := s.inFlightResp[req.item]; ok && pending.version == it.Version {
 			pending.waiters = append(pending.waiters, src)
 			s.coalesced++
 			return
 		}
 	}
 	resp := s.acquireResp()
-	resp.item, resp.version, resp.genAt = ans.Item, ans.Version, ans.AsOf
+	resp.item, resp.version, resp.genAt = it.ID, it.Version, now
 	robust := 0
 	if s.piggy != nil {
-		if pg := s.piggy.PiggybackDigest(now); pg != nil {
+		if pg := s.piggy.Piggyback(now); pg != nil {
 			resp.piggy = pg
 			robust = pg.SizeBits()
 			s.piggyBitsSent += uint64(robust)
@@ -212,7 +186,7 @@ func (s *server) onRequest(src int, meta any, now des.Time) {
 	f := s.cell.downlink.AcquireFrame()
 	f.Kind = mac.KindResponse
 	f.Dest = src
-	f.Bits = ans.Bits + s.sim.cfg.ResponseOverheadBits
+	f.Bits = it.Bits + s.sim.cfg.ResponseOverheadBits
 	f.RobustBits = robust
 	f.MCS = mac.AutoMCS
 	f.Meta = resp
@@ -234,7 +208,7 @@ func (s *server) onBackground(dest int, bits int) {
 	meta := s.acquireBg()
 	robust := 0
 	if s.piggy != nil {
-		if pg := s.piggy.PiggybackDigest(s.cell.sch.Now()); pg != nil {
+		if pg := s.piggy.Piggyback(s.cell.sch.Now()); pg != nil {
 			meta.piggy = pg
 			robust = pg.SizeBits()
 		}
@@ -250,7 +224,7 @@ func (s *server) onBackground(dest int, bits int) {
 	if !accepted {
 		// Admission control refused the frame: its digest never hits the
 		// air, so both metadata objects go straight back to their pools.
-		s.reports.RecycleReport(meta.piggy)
+		s.algo.Recycle(meta.piggy)
 		s.releaseBg(meta)
 		return
 	}
@@ -277,7 +251,7 @@ func (s *server) Broadcast(r *ir.Report, mcs int) {
 		// schedule state (Seq, PrevAt) advances as generated — exactly the
 		// gap the clients' coverage-window rule must survive.
 		s.cell.noteReportFault(r.Seq, obs.ReportFaultSuppressed)
-		s.reports.RecycleReport(r)
+		s.algo.Recycle(r)
 		return
 	}
 	s.irBitsSent += uint64(r.SizeBits())

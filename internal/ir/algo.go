@@ -10,7 +10,8 @@ import (
 )
 
 // ServerEnv is the view of the base station that server-side invalidation
-// algorithms program against. The core package implements it.
+// algorithms program against. It has two hosts: the simulated cell
+// (internal/core) and the served runtime (internal/serve).
 type ServerEnv interface {
 	// Now reports the current simulation time.
 	Now() des.Time
@@ -31,12 +32,30 @@ type ServerEnv interface {
 	DownlinkLoad() float64
 }
 
+// CatchupReport builds the UIR-style catch-up reply for a client whose last
+// consistent point is since: a unicast full report covering (since, now].
+// When the gap outlived the host's update retention, or since lies in the
+// future, it is an empty now-anchored full report instead, which forces the
+// client's safe drop-everything path. The report is freshly allocated, never
+// from an algorithm's arena: its lifetime ends at one client, not at a
+// broadcast fan-out, so it must not be recycled.
+func CatchupReport(env ServerEnv, since des.Time, retention des.Duration) *Report {
+	now := env.Now()
+	r := &Report{Kind: KindFull, At: now, PrevAt: now, WindowStart: now}
+	// Compared without subtracting since, which a hostile peer can set so
+	// that now - since overflows.
+	if since <= now && since >= now.Add(-retention) {
+		r.WindowStart = since
+		r.Items = env.UpdatedSince(since, nil)
+	}
+	return r
+}
+
 // ServerAlgo is one invalidation-report algorithm, server side. It is the
 // minimal contract every scheme satisfies: arming a report schedule against
-// a ServerEnv and recycling consumed reports. Optional behaviours are
-// expressed as separate capability interfaces (Piggybacker below) that a
-// host discovers by type assertion — see internal/serve/capabilities for the
-// transport-level capability composition built on the same idea.
+// a ServerEnv and recycling consumed reports. The one optional behaviour,
+// piggybacking digests on data frames, is the separate Piggybacker
+// interface below, which a host looks up once with AsPiggybacker.
 type ServerAlgo interface {
 	// Name reports the scheme's short name (ts, at, sig, bs, uir, tair,
 	// lair, hybrid).

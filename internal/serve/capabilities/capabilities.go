@@ -1,30 +1,16 @@
-// Package capabilities defines the per-operation capability interfaces of
-// an invalidation-report backend.
+// Package capabilities holds the served engine's vocabulary shared with its
+// clients: the Answer to an item query, and the Set of operations a server
+// offers, which wdcserved publishes on /v1/capabilities and /v1/status.
 //
-// The paper's server protocol decomposes into four independent operations:
-// broadcasting scheduled invalidation reports, attaching digests to ongoing
-// downlink traffic, answering uplink item queries, and serving catch-up
-// history to reconnecting clients. Update ingestion — applying externally
-// originated database writes — is a fifth, host-side operation. Instead of
-// one fat server interface, each operation is its own small interface and a
-// backend implements exactly the subset its algorithm and store support:
-// a generic composer (the DES core's per-cell server, or wdcserved's
-// transport planes) discovers the set by type assertion and serves whatever
-// it finds. The style follows capability-interface REST servers: small
-// per-operation interfaces, a generic server composing whatever the backend
-// implements, so TS/AT/SIG/BS/UIR/TAIR/LAIR/HYBRID become pluggable server
-// backends rather than simulation-only code.
-//
-// The simulation core (internal/core) and the network server
-// (internal/serve, cmd/wdcserved) consume the same interfaces, so both hosts
-// share one engine — which is what makes the DES usable as a conformance
-// oracle against the real server.
+// The paper's server protocol decomposes into four operations: broadcasting
+// scheduled invalidation reports, attaching digests to ongoing downlink
+// traffic, answering uplink item queries, and serving catch-up history to
+// reconnecting clients. A served runtime also ingests externally originated
+// database updates. Every scheme offers all of them except piggybacking,
+// which only the traffic-aware schemes (tair, hybrid) do.
 package capabilities
 
-import (
-	"repro/internal/des"
-	"repro/internal/ir"
-)
+import "repro/internal/des"
 
 // Answer is the authoritative reply to one item query: the item's current
 // version and payload size, stamped with the server read time AsOf — the
@@ -37,57 +23,7 @@ type Answer struct {
 	AsOf    des.Time `json:"as_of_us"`
 }
 
-// ReportSource is the capability of producing the scheduled invalidation-
-// report broadcast stream. Every algorithm backend implements it; it is the
-// one mandatory capability.
-type ReportSource interface {
-	// AlgoName reports the backing scheme's short name.
-	AlgoName() string
-	// StartReports arms the backend's report schedule against env: reports
-	// are pushed through env.Broadcast on the algorithm's own cadence.
-	StartReports(env ir.ServerEnv)
-	// RecycleReport returns a fully consumed report to the backend's
-	// arena. Callers must drop every reference to the report and its Items
-	// afterwards; recycling nil is a no-op.
-	RecycleReport(r *ir.Report)
-}
-
-// PiggybackSource is the capability of attaching small invalidation digests
-// to departing unicast data frames. Only traffic-aware backends provide it.
-type PiggybackSource interface {
-	// PiggybackDigest returns a digest to attach to a data frame leaving
-	// now, or nil when the backend declines (rate limit, oversized digest,
-	// mechanism disabled).
-	PiggybackDigest(now des.Time) *ir.Report
-}
-
-// QueryAnswerer is the capability of answering uplink item queries from the
-// authoritative store.
-type QueryAnswerer interface {
-	// AnswerQuery reports the item's current version as of now. It errors
-	// only on an out-of-range item id.
-	AnswerQuery(item int, now des.Time) (Answer, error)
-}
-
-// UpdateIngester is the capability of applying externally originated
-// database updates. Backends over read-only stores (the DES core's
-// lane-private views, where the update process owns the database) do not
-// provide it.
-type UpdateIngester interface {
-	// IngestUpdate applies one update to the item and reports the
-	// post-update state.
-	IngestUpdate(item int) (Answer, error)
-}
-
-// CatchupProvider is the capability of serving UIR-style catch-up history:
-// a unicast full report covering (since, now], or — when the gap outlived
-// the store's retention — an empty now-anchored full report that forces the
-// client's safe drop-everything path.
-type CatchupProvider interface {
-	CatchupSince(since, now des.Time) *ir.Report
-}
-
-// Set records which capabilities a backend implements.
+// Set records which operations a server offers.
 type Set struct {
 	Report    bool `json:"report"`
 	Piggyback bool `json:"piggyback"`
@@ -96,18 +32,7 @@ type Set struct {
 	Catchup   bool `json:"catchup"`
 }
 
-// Detect reports the capability set of a backend by type assertion.
-func Detect(backend any) Set {
-	var s Set
-	_, s.Report = backend.(ReportSource)
-	_, s.Piggyback = backend.(PiggybackSource)
-	_, s.Query = backend.(QueryAnswerer)
-	_, s.Ingest = backend.(UpdateIngester)
-	_, s.Catchup = backend.(CatchupProvider)
-	return s
-}
-
-// Names lists the implemented capabilities in canonical order.
+// Names lists the offered operations in canonical order.
 func (s Set) Names() []string {
 	var names []string
 	for _, c := range []struct {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net"
 	"testing"
 
+	"repro/internal/des"
 	"repro/internal/ir"
 )
 
@@ -15,6 +17,13 @@ import (
 // boundary, ErrUnexpectedEOF mid-frame, a hard error on zero-length or
 // oversized claims. Whatever decodes must round-trip through WriteFrame back
 // to the same bytes.
+//
+// Every decoded frame then goes through the TCP plane's dispatch,
+// serveFrame, on one virtual-clock server per fuzz process whose clock is
+// past its 10-minute update retention, so decoded values (item ids, catch-up
+// points) meet a live engine. Responses leave over a net.Pipe whose far end
+// is drained. A dispatch error ends the input's frames there, as it ends a
+// connection. After every input the server must still answer a query.
 func FuzzFrameRead(f *testing.F) {
 	// Well-formed single frames.
 	frame := func(op byte, payload []byte) []byte {
@@ -39,9 +48,25 @@ func FuzzFrameRead(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32(nil, uint32(MaxFramePayload+2)))
 	f.Add(binary.BigEndian.AppendUint32(nil, 0xFFFFFFFF))
 
+	const clock = des.Time(11 * des.Minute)
+	srv, err := NewServer(Options{Runtime: DefaultRuntimeConfig()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	conn, far := net.Pipe()
+	go func() { _, _ = io.Copy(io.Discard, far) }()
+	f.Cleanup(func() {
+		_ = conn.Close()
+		srv.Shutdown()
+	})
+	if _, err := srv.AdvanceTo(clock); err != nil {
+		f.Fatal(err)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))
 		off := 0 // bytes consumed by fully-read frames
+		open := true
 		for {
 			op, payload, err := fr.Read()
 			if err != nil {
@@ -51,7 +76,7 @@ func FuzzFrameRead(f *testing.F) {
 				if err == io.EOF && off != len(data) {
 					t.Fatalf("clean EOF with %d bytes consumed of %d", off, len(data))
 				}
-				return
+				break
 			}
 			if len(payload)+1 > MaxFramePayload+1 {
 				t.Fatalf("frame of %d payload bytes exceeds MaxFramePayload", len(payload))
@@ -67,6 +92,13 @@ func FuzzFrameRead(f *testing.F) {
 				t.Fatalf("frame at offset %d does not round-trip", off)
 			}
 			off = end
+			if open {
+				open = srv.serveFrame(conn, op, payload) == nil
+			}
+		}
+		ans, _, err := srv.Query(5)
+		if err != nil || ans.Item != 5 || ans.AsOf != clock {
+			t.Fatalf("query after the input answered %+v, %v", ans, err)
 		}
 	})
 }

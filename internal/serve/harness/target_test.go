@@ -65,14 +65,22 @@ func TestStartHandshakeFailures(t *testing.T) {
 	}
 }
 
-// TestCatchupPastClockFrame sends the 13-byte catch-up frame whose u64 since
-// is 2^63 to a server whose clock is past its 10-minute update retention.
-// Decoded as a des.Time that since is negative, and now - since overflows:
-// the server must answer OpError rather than crash its actor, and the
-// connection must still answer a query. It runs in-process, and against a
-// spawned binary when WDCSERVED_BIN names one.
+// TestCatchupPastClockFrame sends hostile frames to a server whose clock is
+// past its 10-minute update retention: a catch-up whose u64 since is 2^63
+// (negative as a des.Time, so now - since overflows), and queries for items
+// at and far past NumItems (1000 at defaults), which would index past the
+// database. Each must get OpError rather than crash the server's actor, and
+// the same connection must then answer a query. It runs in-process, and
+// against a spawned binary when WDCSERVED_BIN names one.
 func TestCatchupPastClockFrame(t *testing.T) {
-	frame := []byte{0x00, 0x00, 0x00, 0x09, serve.OpCatchup, 0x80, 0, 0, 0, 0, 0, 0, 0}
+	frames := []struct {
+		name  string
+		frame []byte
+	}{
+		{"catch-up since 2^63", []byte{0x00, 0x00, 0x00, 0x09, serve.OpCatchup, 0x80, 0, 0, 0, 0, 0, 0, 0}},
+		{"query item 1000", []byte{0x00, 0x00, 0x00, 0x05, serve.OpQuery, 0x00, 0x00, 0x03, 0xE8}},
+		{"query item 2^32-1", []byte{0x00, 0x00, 0x00, 0x05, serve.OpQuery, 0xFF, 0xFF, 0xFF, 0xFF}},
+	}
 	bins := []string{""}
 	if bin := os.Getenv("WDCSERVED_BIN"); bin != "" {
 		bins = append(bins, bin)
@@ -96,18 +104,22 @@ func TestCatchupPastClockFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if _, err := c.nc.Write(frame); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := c.recv(); err == nil || !strings.Contains(err.Error(), "server error") {
-				t.Fatalf("catch-up past the clock answered %v, want an OpError", err)
-			}
-			ans, _, err := c.Query(5)
-			if err != nil {
-				t.Fatalf("query after the rejected catch-up: %v", err)
-			}
-			if ans.Item != 5 || ans.AsOf != des.Time(11*des.Minute) {
-				t.Fatalf("query answered %+v", ans)
+			for _, f := range frames {
+				t.Run(f.name, func(t *testing.T) {
+					if _, err := c.nc.Write(f.frame); err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := c.recv(); err == nil || !strings.Contains(err.Error(), "server error") {
+						t.Fatalf("hostile frame answered %v, want an OpError", err)
+					}
+					ans, _, err := c.Query(5)
+					if err != nil {
+						t.Fatalf("query after the rejected frame: %v", err)
+					}
+					if ans.Item != 5 || ans.AsOf != des.Time(11*des.Minute) {
+						t.Fatalf("query answered %+v", ans)
+					}
+				})
 			}
 		})
 	}

@@ -1,3 +1,7 @@
+// Package serve hosts the invalidation-report engine outside the discrete-
+// event simulation: the runtime that binds one algorithm to a virtual clock
+// and an owned database, the wire framing of the query and broadcast planes,
+// and the server that puts the runtime behind real sockets.
 package serve
 
 import (
@@ -57,14 +61,11 @@ type Status struct {
 // Server actor, or a test driving it directly) — the runtime is exactly as
 // single-threaded as the simulation core it mirrors.
 type Runtime struct {
-	sch     *des.Scheduler
-	db      *db.DB
-	amc     *radio.AMC
-	backend Backend
-	answers capabilities.QueryAnswerer
-	catchup capabilities.CatchupProvider
-	ingest  capabilities.UpdateIngester
-	piggy   capabilities.PiggybackSource
+	sch   *des.Scheduler
+	db    *db.DB
+	amc   *radio.AMC
+	algo  ir.ServerAlgo
+	piggy ir.Piggybacker // nil unless the scheme piggybacks (tair, hybrid)
 
 	sink func(mcs int, datagram []byte)
 
@@ -76,21 +77,6 @@ type Runtime struct {
 	queries    uint64
 	ingested   uint64
 	lastRepAt  des.Time
-}
-
-// runtimeStore adapts the owned database to the Store/Mutator pair: the
-// runtime owns its DB, so the backend gains the ingest capability.
-type runtimeStore struct{ rt *Runtime }
-
-func (s runtimeStore) NumItems() int       { return s.rt.db.NumItems() }
-func (s runtimeStore) Item(id int) db.Item { return s.rt.db.Item(id) }
-func (s runtimeStore) UpdatedSince(since des.Time, buf []db.Update) []db.Update {
-	return s.rt.db.UpdatedSince(since, buf)
-}
-func (s runtimeStore) Retention() des.Duration { return s.rt.db.Config().Retention }
-func (s runtimeStore) Apply(item int) db.Item {
-	s.rt.db.ApplyUpdate(item)
-	return s.rt.db.Item(item)
 }
 
 // NewRuntime builds a stopped runtime; Start arms the report schedule. The
@@ -114,19 +100,14 @@ func NewRuntime(cfg RuntimeConfig, sink func(mcs int, datagram []byte)) (*Runtim
 	if err != nil {
 		return nil, err
 	}
-	backend := NewBackend(algo, runtimeStore{rt})
-	rt.backend = backend
-	rt.answers = backend.(capabilities.QueryAnswerer)
-	rt.catchup = backend.(capabilities.CatchupProvider)
-	rt.ingest, _ = backend.(capabilities.UpdateIngester)
-	rt.piggy, _ = backend.(capabilities.PiggybackSource)
+	rt.algo, rt.piggy = algo, ir.AsPiggybacker(algo)
 	return rt, nil
 }
 
 // Start arms the database update process and the report schedule.
 func (rt *Runtime) Start() {
 	rt.db.Start()
-	rt.backend.StartReports(rt)
+	rt.algo.Start(rt)
 }
 
 // AdvanceTo runs every event scheduled at or before t and leaves the clock
@@ -146,42 +127,52 @@ func (rt *Runtime) AdvanceTo(t des.Time) (broadcasts uint64, err error) {
 // Now reports the virtual clock (also part of ir.ServerEnv).
 func (rt *Runtime) Now() des.Time { return rt.sch.Now() }
 
-// Query answers one item query at the current clock. When the backend
+// checkItem rejects an item id outside the database. Query and Inject take
+// their ids off the wire, and db.Item would index out of range on the actor.
+func (rt *Runtime) checkItem(item int) error {
+	if n := rt.db.NumItems(); item < 0 || item >= n {
+		return fmt.Errorf("serve: item %d out of range [0, %d)", item, n)
+	}
+	return nil
+}
+
+// Query answers one item query at the current clock. When the scheme
 // piggybacks, the marshaled digest it would attach to the response frame is
 // returned alongside — the served analogue of the core's digest-on-response
-// path — or nil when the backend declines or lacks the capability.
+// path — or nil when the scheme declines or never piggybacks.
 func (rt *Runtime) Query(item int) (capabilities.Answer, []byte, error) {
-	ans, err := rt.answers.AnswerQuery(item, rt.sch.Now())
-	if err != nil {
-		return ans, nil, err
+	if err := rt.checkItem(item); err != nil {
+		return capabilities.Answer{}, nil, err
 	}
+	now := rt.sch.Now()
+	it := rt.db.Item(item)
 	rt.queries++
 	var digest []byte
 	if rt.piggy != nil {
-		if pg := rt.piggy.PiggybackDigest(rt.sch.Now()); pg != nil {
+		if pg := rt.piggy.Piggyback(now); pg != nil {
 			digest = pg.Marshal()
-			rt.backend.RecycleReport(pg)
+			rt.algo.Recycle(pg)
 		}
 	}
-	return ans, digest, nil
+	return capabilities.Answer{Item: it.ID, Version: it.Version, Bits: it.Bits, AsOf: now}, digest, nil
 }
 
 // Catchup serves the update history since the given consistency point. The
 // caller owns the returned report (it is never arena-backed).
 func (rt *Runtime) Catchup(since des.Time) *ir.Report {
-	return rt.catchup.CatchupSince(since, rt.sch.Now())
+	return ir.CatchupReport(rt, since, rt.db.Config().Retention)
 }
 
-// Inject applies one externally originated update, if the backend ingests.
+// Inject applies one externally originated update and reports the item's
+// new version, stamped with the update time.
 func (rt *Runtime) Inject(item int) (capabilities.Answer, error) {
-	if rt.ingest == nil {
-		return capabilities.Answer{}, fmt.Errorf("serve: backend has no ingest capability")
+	if err := rt.checkItem(item); err != nil {
+		return capabilities.Answer{}, err
 	}
-	ans, err := rt.ingest.IngestUpdate(item)
-	if err == nil {
-		rt.ingested++
-	}
-	return ans, err
+	rt.db.ApplyUpdate(item)
+	rt.ingested++
+	it := rt.db.Item(item)
+	return capabilities.Answer{Item: it.ID, Version: it.Version, Bits: it.Bits, AsOf: it.UpdatedAt}, nil
 }
 
 // SetSignals pushes the environment signals the adaptive schemes consume:
@@ -207,12 +198,14 @@ func (rt *Runtime) SetSignals(snrs []float64, load float64) error {
 // that lets connected clients stay consistent across a server restart. It
 // broadcasts at the robust MCS so every listener can decode it.
 func (rt *Runtime) FinalReport() {
-	r := rt.catchup.CatchupSince(rt.lastRepAt, rt.sch.Now())
-	rt.emit(r, 0)
+	rt.emit(rt.Catchup(rt.lastRepAt), 0)
 }
 
-// Caps reports the backend's capability set.
-func (rt *Runtime) Caps() capabilities.Set { return capabilities.Detect(rt.backend) }
+// Caps reports the operations the runtime offers: all of them, with
+// piggybacking only when the scheme attaches digests.
+func (rt *Runtime) Caps() capabilities.Set {
+	return capabilities.Set{Report: true, Piggyback: rt.piggy != nil, Query: true, Ingest: true, Catchup: true}
+}
 
 // DBItem reports the current state of one item — the ground truth the
 // conformance oracle checks client caches against.
@@ -221,7 +214,7 @@ func (rt *Runtime) DBItem(id int) db.Item { return rt.db.Item(id) }
 // Status snapshots the runtime.
 func (rt *Runtime) Status() Status {
 	return Status{
-		Algo:           rt.backend.AlgoName(),
+		Algo:           rt.algo.Name(),
 		NowUS:          int64(rt.sch.Now()),
 		Broadcasts:     rt.broadcasts,
 		QueriesServed:  rt.queries,
@@ -238,7 +231,7 @@ func (rt *Runtime) emit(r *ir.Report, mcs int) {
 	rt.broadcasts++
 	rt.lastRepAt = r.At
 	rt.sink(mcs, EncodeDatagram(mcs, r))
-	rt.backend.RecycleReport(r)
+	rt.algo.Recycle(r)
 }
 
 // --- ir.ServerEnv (the algorithm side of the runtime) ---

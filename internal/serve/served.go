@@ -214,7 +214,7 @@ func (s *Server) Status() (st Status, err error) {
 	return st, err
 }
 
-// Caps reports the backend's capability set.
+// Caps reports the operations the server offers.
 func (s *Server) Caps() (cs capabilities.Set, err error) {
 	err = s.Do(func(rt *Runtime) { cs = rt.Caps() })
 	return cs, err
