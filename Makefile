@@ -17,7 +17,7 @@ help:
 	@echo "bench-test      vet and test the bench/ module, which go build ./... does not compile"
 	@echo "check           pre-commit gate: build + vet + race + smoke-multicell + smoke-parallel + smoke-served + load-smoke + bench-test"
 	@echo "sweep           regenerate the full evaluation into results/"
-	@echo "bench-smoke     run the engine, tracer and uplink benchmarks once each"
+	@echo "bench-smoke     run the engine, tracer, uplink and query-plane benchmarks once each"
 	@echo "city-rss        100k-client 16-cell city point: peak RSS under 1 GiB, zero stale answers"
 	@echo "load-fleet      100- and 1000-client fleets, all algorithms, spawned wdcserved: zero stale answers"
 	@echo "fuzz-smoke      native-fuzz pass over every fuzz target (FUZZTIME each, default 30s)"
@@ -87,12 +87,14 @@ sweep: build
 	$(GO) run ./cmd/wdcsweep -exp all -out results -resume
 
 # bench-smoke runs the engine and tracer-overhead benchmarks once each, the
-# uplink's light and saturated cases once each, and the obs micro-benchmarks,
-# so they keep compiling and running to completion. It compares no timing;
-# bash bench/run.sh is the performance measurement.
+# uplink's light and saturated cases once each, the served query plane once,
+# and the obs micro-benchmarks, so they keep compiling and running to
+# completion. It compares no timing; bash bench/run.sh is the performance
+# measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Engine|TracerOverhead' -benchtime 1x .
 	$(GO) test -run '^$$' -bench Uplink -benchtime 1x ./internal/mac
+	$(GO) test -run '^$$' -bench QueryPlane -benchtime 1x ./internal/serve
 	$(GO) test -run '^$$' -bench . ./internal/obs
 
 # city-rss runs the 100k-client 16-cell city point (seed 7, half the
@@ -111,8 +113,9 @@ load-fleet:
 
 # fuzz-smoke runs every fuzz target (the ir and serve wire decoders, and the
 # des ladder queue's pop order) for FUZZTIME from its committed seed corpus
-# (internal/{ir,serve,des}/testdata/fuzz). FuzzFrameRead also dispatches each
-# frame it decodes to a live in-process server. The 30s default gates each
+# (internal/{ir,serve,des}/testdata/fuzz). FuzzFrameRead also serves each
+# input as one connection's stream through the query plane's batch handler on
+# a live in-process server. The 30s default gates each
 # change in CI; the nightly workflow runs the same list with FUZZTIME=10m.
 fuzz-smoke:
 	$(GO) test -run '^FuzzUnmarshal$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/ir

@@ -40,15 +40,24 @@ type ServerEnv interface {
 // from an algorithm's arena: its lifetime ends at one client, not at a
 // broadcast fan-out, so it must not be recycled.
 func CatchupReport(env ServerEnv, since des.Time, retention des.Duration) *Report {
+	r := &Report{}
+	BuildCatchup(r, env, since, retention)
+	return r
+}
+
+// BuildCatchup writes the catch-up reply CatchupReport describes into r,
+// overwriting every field and appending the items to r's Items backing
+// array, so a host that encodes each reply before building the next reuses
+// one report for all of them.
+func BuildCatchup(r *Report, env ServerEnv, since des.Time, retention des.Duration) {
 	now := env.Now()
-	r := &Report{Kind: KindFull, At: now, PrevAt: now, WindowStart: now}
+	*r = Report{Kind: KindFull, At: now, PrevAt: now, WindowStart: now, Items: r.Items[:0]}
 	// Compared without subtracting since, which a hostile peer can set so
 	// that now - since overflows.
 	if since <= now && since >= now.Add(-retention) {
 		r.WindowStart = since
-		r.Items = env.UpdatedSince(since, nil)
+		r.Items = env.UpdatedSince(since, r.Items)
 	}
-	return r
 }
 
 // ServerAlgo is one invalidation-report algorithm, server side. It is the

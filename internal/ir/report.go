@@ -138,27 +138,33 @@ func (r *Report) Validate() error {
 // backs the round-trip property tests and the trace tool; the simulator
 // itself passes Report pointers and only accounts SizeBits of airtime.
 func (r *Report) Marshal() []byte {
-	buf := make([]byte, 0, 33+12*len(r.Items))
-	buf = append(buf, byte(r.Kind))
-	buf = binary.BigEndian.AppendUint64(buf, r.Seq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.At))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.PrevAt))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.WindowStart))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Items)))
+	return r.AppendMarshal(make([]byte, 0, 38+12*len(r.Items)))
+}
+
+// AppendMarshal appends the report's wire form to dst and returns the
+// extended slice: the allocation-free form of Marshal for a caller that
+// encodes into a buffer it reuses.
+func (r *Report) AppendMarshal(dst []byte) []byte {
+	dst = append(dst, byte(r.Kind))
+	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.At))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.PrevAt))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.WindowStart))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Items)))
 	for _, u := range r.Items {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(u.ID))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(u.At))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(u.ID))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(u.At))
 	}
 	if r.Sig != nil {
-		buf = append(buf, 1)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Sig.AsOf))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Sig.Capacity))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(fp64bits(r.Sig.FalsePositive)))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Sig.Bits))
+		dst = append(dst, 1)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(r.Sig.AsOf))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.Sig.Capacity))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(fp64bits(r.Sig.FalsePositive)))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.Sig.Bits))
 	} else {
-		buf = append(buf, 0)
+		dst = append(dst, 0)
 	}
-	return buf
+	return dst
 }
 
 // Unmarshal decodes a report from its wire form.

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"repro/internal/des"
 	"repro/internal/ir"
@@ -18,12 +20,16 @@ import (
 // oversized claims. Whatever decodes must round-trip through WriteFrame back
 // to the same bytes.
 //
-// Every decoded frame then goes through the TCP plane's dispatch,
-// serveFrame, on one virtual-clock server per fuzz process whose clock is
-// past its 10-minute update retention, so decoded values (item ids, catch-up
-// points) meet a live engine. Responses leave over a net.Pipe whose far end
-// is drained. A dispatch error ends the input's frames there, as it ends a
-// connection. After every input the server must still answer a query.
+// Every input is then one query connection's whole byte stream, served by
+// the TCP plane's handler, serveConn, on one virtual-clock ts server per
+// fuzz process whose clock is past its 10-minute update retention, so
+// decoded values (item ids, catch-up points) meet a live engine. The stream
+// is served twice: arriving at once, so the handler forms its largest
+// batches, and one byte per read, so every frame is a batch of its own.
+// Both must produce the same response bytes, which must be whole response
+// frames; an unknown op or a framing error ends the stream there, as it
+// ends a connection. After every input the server must still answer a
+// query.
 func FuzzFrameRead(f *testing.F) {
 	// Well-formed single frames.
 	frame := func(op byte, payload []byte) []byte {
@@ -53,12 +59,7 @@ func FuzzFrameRead(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	conn, far := net.Pipe()
-	go func() { _, _ = io.Copy(io.Discard, far) }()
-	f.Cleanup(func() {
-		_ = conn.Close()
-		srv.Shutdown()
-	})
+	f.Cleanup(srv.Shutdown)
 	if _, err := srv.AdvanceTo(clock); err != nil {
 		f.Fatal(err)
 	}
@@ -66,7 +67,6 @@ func FuzzFrameRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))
 		off := 0 // bytes consumed by fully-read frames
-		open := true
 		for {
 			op, payload, err := fr.Read()
 			if err != nil {
@@ -92,16 +92,50 @@ func FuzzFrameRead(f *testing.F) {
 				t.Fatalf("frame at offset %d does not round-trip", off)
 			}
 			off = end
-			if open {
-				open = srv.serveFrame(conn, op, payload) == nil
+		}
+
+		whole := &streamConn{r: bytes.NewReader(data)}
+		srv.serveConn(whole)
+		bytewise := &streamConn{r: iotest.OneByteReader(bytes.NewReader(data))}
+		srv.serveConn(bytewise)
+		if !bytes.Equal(whole.out.Bytes(), bytewise.out.Bytes()) {
+			t.Fatalf("responses differ with the stream read at once (%d bytes) and a byte at a time (%d bytes)",
+				whole.out.Len(), bytewise.out.Len())
+		}
+		resp := NewFrameReader(&whole.out)
+		for {
+			op, _, err := resp.Read()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("response stream: %v", err)
+			}
+			if op != OpAnswer && op != OpReport && op != OpError {
+				t.Fatalf("response op 0x%02x", op)
 			}
 		}
+
 		ans, _, err := srv.Query(5)
 		if err != nil || ans.Item != 5 || ans.AsOf != clock {
 			t.Fatalf("query after the input answered %+v, %v", ans, err)
 		}
 	})
 }
+
+// streamConn is a query connection whose reads drain one fixed byte stream
+// and whose writes are collected. Only the methods the handler calls are
+// implemented; deadlines never fire.
+type streamConn struct {
+	net.Conn
+	r   io.Reader
+	out bytes.Buffer
+}
+
+func (c *streamConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
+func (c *streamConn) Write(p []byte) (int, error)      { return c.out.Write(p) }
+func (c *streamConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *streamConn) SetWriteDeadline(time.Time) error { return nil }
 
 // FuzzDecodeDatagram drives the UDP datagram decoder: arbitrary bytes must
 // either decode into a report or fail loudly — never panic, and never

@@ -102,8 +102,10 @@ func Handler(s *serve.Server) http.Handler {
 		b.Counter("wdcserved_updates_total", "Database updates ingested via the control plane.", float64(st.UpdatesApplied))
 		b.Counter("wdcserved_events_total", "Engine scheduler events executed.", float64(st.ExecutedEvents))
 		b.Gauge("wdcserved_events_pending", "Engine scheduler events pending.", float64(st.PendingEvents))
-		b.Gauge("wdcserved_actor_queue_depth", "Ops waiting in the actor mailbox.", float64(st.QueueDepth))
-		b.Gauge("wdcserved_actor_queue_max", "High-water mark of the actor mailbox.", float64(st.QueueMax))
+		b.Gauge("wdcserved_actor_queue_depth", "Ops waiting in the actor mailbox; a query connection's op is a batch of frames.", float64(st.QueueDepth))
+		b.Gauge("wdcserved_actor_queue_max", "High-water mark of the actor mailbox, counted in ops (batches, for the query plane).", float64(st.QueueMax))
+		b.Counter("wdcserved_query_frames_total", "Request frames served on the TCP query plane.", float64(st.QueryFrames))
+		b.Counter("wdcserved_query_batches_total", "Actor ops that served the query plane's frames, one per batch.", float64(st.QueryBatches))
 		b.ServeHTTP(w, r)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -36,10 +36,12 @@ func DefaultRuntimeConfig() RuntimeConfig {
 	return RuntimeConfig{Algo: "ts", IR: p, DB: dbc, Seed: 1}
 }
 
-// Status is a snapshot of a runtime's state. The actor-queue fields are
-// filled by the hosting Server (a bare Runtime has no mailbox): the
-// load-test hook that lets a harness watch how deep the single-actor
-// serialization point backs up under socket load.
+// Status is a snapshot of a runtime's state. The actor-queue and query-plane
+// fields are filled by the hosting Server (a bare Runtime has no mailbox and
+// no sockets): the load-test hooks that let a harness watch how deep the
+// single-actor serialization point backs up under socket load, and how many
+// request frames each actor op serves. The mailbox holds ops, and a query
+// connection's op is a whole batch of frames.
 type Status struct {
 	Algo           string   `json:"algo"`
 	NowUS          int64    `json:"now_us"`
@@ -52,6 +54,8 @@ type Status struct {
 	ExecutedEvents uint64   `json:"executed_events"`
 	QueueDepth     int      `json:"actor_queue_depth"`
 	QueueMax       int      `json:"actor_queue_max"`
+	QueryFrames    uint64   `json:"query_frames"`  // request frames served on the TCP plane
+	QueryBatches   uint64   `json:"query_batches"` // actor ops that served them
 }
 
 // Runtime is the invalidation-report engine bound to a virtual clock and an
@@ -67,7 +71,8 @@ type Runtime struct {
 	algo  ir.ServerAlgo
 	piggy ir.Piggybacker // nil unless the scheme piggybacks (tair, hybrid)
 
-	sink func(mcs int, datagram []byte)
+	sink  func(mcs int, datagram []byte)
+	reply ir.Report // catchupReply's report, reused for every reply
 
 	// Environment signals, pushed by the host (control plane or test).
 	snrs []float64
@@ -141,26 +146,54 @@ func (rt *Runtime) checkItem(item int) error {
 // returned alongside — the served analogue of the core's digest-on-response
 // path — or nil when the scheme declines or never piggybacks.
 func (rt *Runtime) Query(item int) (capabilities.Answer, []byte, error) {
+	ans, pg, err := rt.answer(item)
+	var digest []byte
+	if pg != nil {
+		digest = pg.Marshal()
+		rt.algo.Recycle(pg)
+	}
+	return ans, digest, err
+}
+
+// answer is Query with the digest left as the algorithm's report: the
+// caller encodes it and hands it back through algo.Recycle.
+func (rt *Runtime) answer(item int) (capabilities.Answer, *ir.Report, error) {
 	if err := rt.checkItem(item); err != nil {
 		return capabilities.Answer{}, nil, err
 	}
 	now := rt.sch.Now()
 	it := rt.db.Item(item)
 	rt.queries++
-	var digest []byte
+	var pg *ir.Report
 	if rt.piggy != nil {
-		if pg := rt.piggy.Piggyback(now); pg != nil {
-			digest = pg.Marshal()
-			rt.algo.Recycle(pg)
-		}
+		pg = rt.piggy.Piggyback(now)
 	}
-	return capabilities.Answer{Item: it.ID, Version: it.Version, Bits: it.Bits, AsOf: now}, digest, nil
+	return capabilities.Answer{Item: it.ID, Version: it.Version, Bits: it.Bits, AsOf: now}, pg, nil
 }
 
 // Catchup serves the update history since the given consistency point. The
 // caller owns the returned report (it is never arena-backed).
 func (rt *Runtime) Catchup(since des.Time) *ir.Report {
 	return ir.CatchupReport(rt, since, rt.db.Config().Retention)
+}
+
+// checkSince rejects a consistency point past the clock: no client of this
+// runtime can have reached it. The comparison is unsigned, as the point is
+// on the wire, so a u64 at or above 2^63 (a negative des.Time) is past the
+// clock too.
+func (rt *Runtime) checkSince(since des.Time) error {
+	if now := rt.Now(); uint64(since) > uint64(now) {
+		return fmt.Errorf("serve: catchup since %dµs is past the server clock %v", uint64(since), now)
+	}
+	return nil
+}
+
+// catchupReply builds the catch-up Catchup describes into the runtime's one
+// reply report, valid until the next call: the query plane encodes each
+// reply before it builds the next.
+func (rt *Runtime) catchupReply(since des.Time) *ir.Report {
+	ir.BuildCatchup(&rt.reply, rt, since, rt.db.Config().Retention)
+	return &rt.reply
 }
 
 // Inject applies one externally originated update and reports the item's

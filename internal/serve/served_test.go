@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -121,8 +123,11 @@ func TestShutdownFinalReportKeepsClientsConsistent(t *testing.T) {
 }
 
 // TestShutdownDrainsInFlightQueries holds a TCP connection open mid-exchange
-// while Shutdown runs: the handler must finish the frame it is serving, the
-// final report must still go out, and the listener must refuse new work.
+// while Shutdown runs: a pipelined burst of queries goes out just before it,
+// the handler must finish the batch it is serving and write its responses,
+// the final report must still go out, and the listener must refuse new work.
+// Every response the client receives must be a whole answer frame, in
+// request order, and then the connection must close.
 func TestShutdownDrainsInFlightQueries(t *testing.T) {
 	udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -162,19 +167,60 @@ func TestShutdownDrainsInFlightQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The burst spans several reads of the handler's buffer, so Shutdown
+	// can land between its batches. The client keeps reading throughout.
+	const burst = 600
+	received := make(chan []byte, 1)
+	readErr := make(chan error, 1)
+	go func() {
+		var b bytes.Buffer
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, err := io.Copy(&b, conn)
+		readErr <- err
+		received <- b.Bytes()
+	}()
+	var frames bytes.Buffer
+	for i := 0; i < burst; i++ {
+		_ = WriteFrame(&frames, OpQuery, EncodeQuery(i%rc.DB.NumItems))
+	}
+	if _, err := conn.Write(frames.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
 	done := make(chan struct{})
 	go func() { srv.Shutdown(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Shutdown hung on an idle connection")
+		t.Fatal("Shutdown hung on a connection mid-burst")
 	}
 
-	// The drained connection is closed; the farewell datagram arrived.
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := fr.Read(); err == nil {
-		t.Fatal("connection survived shutdown")
+	// The drained connection is closed, after whole responses in order.
+	if err := <-readErr; err != nil {
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatal("connection survived shutdown")
+		}
 	}
+	resp := NewFrameReader(bytes.NewReader(<-received))
+	answers := 0
+	for ; ; answers++ {
+		op, payload, err := resp.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d whole answers: %v", answers, err)
+		}
+		ans, _, err := DecodeAnswerFrame(payload)
+		if op != OpAnswer || err != nil || ans.Item != answers%rc.DB.NumItems {
+			t.Fatalf("response %d: op 0x%02x, %+v, %v; want the answer for item %d", answers, op, ans, err, answers%rc.DB.NumItems)
+		}
+	}
+	if answers > burst {
+		t.Fatalf("%d answers to %d queries", answers, burst)
+	}
+	t.Logf("%d of %d pipelined queries answered before the connection closed", answers, burst)
+
 	buf := make([]byte, 1<<16)
 	_ = udp.SetReadDeadline(time.Now().Add(5 * time.Second))
 	m, _, err := udp.ReadFromUDP(buf)

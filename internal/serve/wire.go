@@ -36,11 +36,43 @@ const MaxFramePayload = 16 << 20
 
 // WriteFrame writes one frame. The payload may be nil.
 func WriteFrame(w io.Writer, op byte, payload []byte) error {
-	hdr := make([]byte, 5, 5+len(payload))
-	binary.BigEndian.PutUint32(hdr, uint32(1+len(payload)))
-	hdr[4] = op
-	_, err := w.Write(append(hdr, payload...))
+	_, err := w.Write(append(appendHeader(make([]byte, 0, 5+len(payload)), op, len(payload)), payload...))
 	return err
+}
+
+// appendHeader appends the length prefix and op byte of a frame whose
+// payload is n bytes.
+func appendHeader(dst []byte, op byte, n int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(1+n))
+	return append(dst, op)
+}
+
+// appendReportFrame appends a whole OpReport frame carrying r's wire form.
+// The length prefix is patched in once the report is encoded.
+func appendReportFrame(dst []byte, r *ir.Report) []byte {
+	start := len(dst)
+	dst = r.AppendMarshal(appendHeader(dst, OpReport, 0))
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
+// appendErrorFrame appends a whole OpError frame carrying err's message.
+func appendErrorFrame(dst []byte, err error) []byte {
+	msg := err.Error()
+	return append(appendHeader(dst, OpError, len(msg)), msg...)
+}
+
+// frameLen parses a frame's length prefix: the op byte plus the payload. A
+// zero length (no op byte) or one past MaxFramePayload is a framing error.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if n == 0 {
+		return 0, fmt.Errorf("serve: zero-length frame")
+	}
+	if n > MaxFramePayload+1 {
+		return 0, fmt.Errorf("serve: frame length %d exceeds limit %d", n, MaxFramePayload+1)
+	}
+	return int(n), nil
 }
 
 // FrameReader decodes frames from a stream, reusing one payload buffer; the
@@ -60,14 +92,11 @@ func (fr *FrameReader) Read() (op byte, payload []byte, err error) {
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return 0, nil, fmt.Errorf("serve: zero-length frame")
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return 0, nil, err
 	}
-	if n > MaxFramePayload+1 {
-		return 0, nil, fmt.Errorf("serve: frame length %d exceeds limit %d", n, MaxFramePayload+1)
-	}
-	if cap(fr.buf) < int(n) {
+	if cap(fr.buf) < n {
 		fr.buf = make([]byte, n)
 	}
 	fr.buf = fr.buf[:n]
@@ -108,12 +137,14 @@ func DecodeCatchup(payload []byte) (since des.Time, err error) {
 
 // EncodeAnswer builds an OpAnswer payload.
 func EncodeAnswer(a capabilities.Answer) []byte {
-	buf := make([]byte, 0, 24)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.Item))
-	buf = binary.BigEndian.AppendUint64(buf, a.Version)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.Bits))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(a.AsOf))
-	return buf
+	return appendAnswer(make([]byte, 0, 24), a)
+}
+
+func appendAnswer(dst []byte, a capabilities.Answer) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(a.Item))
+	dst = binary.BigEndian.AppendUint64(dst, a.Version)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(a.Bits))
+	return binary.BigEndian.AppendUint64(dst, uint64(a.AsOf))
 }
 
 // DecodeAnswer parses an OpAnswer payload.
@@ -134,11 +165,15 @@ func DecodeAnswer(payload []byte) (capabilities.Answer, error) {
 // (OpReport) follows on the stream — the served analogue of a digest riding
 // a response frame's robust control portion.
 func EncodeAnswerFrame(a capabilities.Answer, digestFollows bool) []byte {
-	buf := EncodeAnswer(a)
+	return appendAnswerPayload(make([]byte, 0, 25), a, digestFollows)
+}
+
+func appendAnswerPayload(dst []byte, a capabilities.Answer, digestFollows bool) []byte {
+	dst = appendAnswer(dst, a)
 	if digestFollows {
-		return append(buf, 1)
+		return append(dst, 1)
 	}
-	return append(buf, 0)
+	return append(dst, 0)
 }
 
 // DecodeAnswerFrame parses an OpAnswer frame payload.
@@ -161,10 +196,7 @@ func DecodeAnswerFrame(payload []byte) (a capabilities.Answer, digestFollows boo
 // The report body is the exact ir wire form, so the conformance oracle can
 // compare served streams byte-for-byte against in-process ones.
 func EncodeDatagram(mcs int, r *ir.Report) []byte {
-	body := r.Marshal()
-	buf := make([]byte, 0, 1+len(body))
-	buf = append(buf, byte(mcs))
-	return append(buf, body...)
+	return r.AppendMarshal(append(make([]byte, 0, 39+12*len(r.Items)), byte(mcs)))
 }
 
 // DecodeDatagram parses a broadcast datagram into r (see ir.UnmarshalInto
