@@ -1,10 +1,13 @@
 // Package db implements the server-side database: a set of data items with a
-// stochastic hot/cold update process and the bounded update history that the
+// stochastic hot/cold update process and the latest-update index that the
 // invalidation-report generators query.
 package db
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
 
 	"repro/internal/des"
 	"repro/internal/obs"
@@ -20,7 +23,7 @@ type Item struct {
 	Bits      int // payload size when sent in a response
 }
 
-// Update is one entry of the update history: item id and update time.
+// Update is one item update: item id and update time.
 type Update struct {
 	ID int
 	At des.Time
@@ -41,6 +44,8 @@ type Config struct {
 
 	// Retention bounds how far back UpdatedSince can be asked; the owner
 	// sets it to the largest invalidation window any algorithm will use.
+	// The latest-update index answers any window, so Retention is a
+	// contract check, not a memory bound.
 	Retention des.Duration
 }
 
@@ -89,12 +94,15 @@ type DB struct {
 	src   *rng.Source
 	items []Item
 
-	history []Update // ring-ish: append-only with front pruning
-	head    int
-
-	// per-call dedup scratch for UpdatedSince
-	gen     uint32
-	lastGen []uint32
+	// The latest-update index: log holds one live entry per updated item,
+	// its latest update, in update order, so update times never decrease
+	// along it. An item's earlier entries are tombstones (ID -1). slot[id]
+	// is 1 + the log index of item id's live entry, 0 when it has none.
+	// ApplyUpdate compacts the log once tombstones outnumber live entries,
+	// so it never holds more than 2·NumItems entries.
+	log  []Update
+	slot []int
+	dead int
 
 	updates  uint64
 	onUpdate func(id int, now des.Time)
@@ -109,11 +117,11 @@ func New(sch *des.Scheduler, cfg Config, src *rng.Source) (*DB, error) {
 		return nil, err
 	}
 	d := &DB{
-		cfg:     cfg,
-		sch:     sch,
-		src:     src,
-		items:   make([]Item, cfg.NumItems),
-		lastGen: make([]uint32, cfg.NumItems),
+		cfg:   cfg,
+		sch:   sch,
+		src:   src,
+		items: make([]Item, cfg.NumItems),
+		slot:  make([]int, cfg.NumItems),
 	}
 	for i := range d.items {
 		d.items[i] = Item{ID: i, Bits: cfg.ItemBits}
@@ -129,7 +137,7 @@ func New(sch *des.Scheduler, cfg Config, src *rng.Source) (*DB, error) {
 }
 
 // Reset re-initializes the database in place for a new replication,
-// reusing the O(NumItems) item and dedup tables when the size is unchanged.
+// reusing the O(NumItems) item and index tables when the size is unchanged.
 // The scheduler and source are replaced (each replication owns fresh ones);
 // hooks and tracer are cleared.
 func (d *DB) Reset(sch *des.Scheduler, cfg Config, src *rng.Source) error {
@@ -138,11 +146,9 @@ func (d *DB) Reset(sch *des.Scheduler, cfg Config, src *rng.Source) error {
 	}
 	if cfg.NumItems != d.cfg.NumItems {
 		d.items = make([]Item, cfg.NumItems)
-		d.lastGen = make([]uint32, cfg.NumItems)
+		d.slot = make([]int, cfg.NumItems)
 	} else {
-		for i := range d.lastGen {
-			d.lastGen[i] = 0
-		}
+		clear(d.slot)
 	}
 	for i := range d.items {
 		d.items[i] = Item{ID: i, Bits: cfg.ItemBits}
@@ -150,9 +156,8 @@ func (d *DB) Reset(sch *des.Scheduler, cfg Config, src *rng.Source) error {
 	d.cfg = cfg
 	d.sch = sch
 	d.src = src
-	d.history = d.history[:0]
-	d.head = 0
-	d.gen = 0
+	d.log = d.log[:0]
+	d.dead = 0
 	d.updates = 0
 	d.onUpdate = nil
 	d.running = false
@@ -214,8 +219,7 @@ func (d *DB) ApplyUpdate(id int) {
 	it.Version++
 	it.UpdatedAt = now
 	d.updates++
-	d.history = append(d.history, Update{ID: id, At: now})
-	d.prune(now)
+	d.index(id, now)
 	if d.tr != nil {
 		d.tr.DBUpdate(obs.DBUpdateEvent{At: now, Item: id, Version: it.Version})
 	}
@@ -224,62 +228,73 @@ func (d *DB) ApplyUpdate(id int) {
 	}
 }
 
-// prune drops history entries older than the retention horizon.
-func (d *DB) prune(now des.Time) {
-	cut := now.Add(-des.Duration(d.cfg.Retention))
-	for d.head < len(d.history) && d.history[d.head].At < cut {
-		d.head++
+// index makes the update of item id at now its live log entry, retiring
+// the previous one to a tombstone, and compacts the log once tombstones
+// outnumber live entries.
+func (d *DB) index(id int, now des.Time) {
+	if p := d.slot[id]; p > 0 {
+		d.log[p-1].ID = -1
+		d.dead++
 	}
-	if d.head > 4096 && d.head*2 >= len(d.history) {
-		n := copy(d.history, d.history[d.head:])
-		d.history = d.history[:n]
-		d.head = 0
+	d.log = append(d.log, Update{ID: id, At: now})
+	d.slot[id] = len(d.log)
+	if 2*d.dead > len(d.log) {
+		n := 0
+		for _, u := range d.log {
+			if u.ID >= 0 {
+				d.log[n] = u
+				n++
+				d.slot[u.ID] = n
+			}
+		}
+		d.log, d.dead = d.log[:n], 0
 	}
 }
 
 // UpdatedSince returns, for each item updated in (since, now], one Update
-// carrying the item's LATEST update time in that range, appended to buf.
+// carrying the item's LATEST update time, appended to buf newest first.
 // Asking beyond the retention horizon panics: the caller configured the
 // retention and a silent truncation would produce stale caches.
 func (d *DB) UpdatedSince(since des.Time, buf []Update) []Update {
-	now := d.sch.Now()
+	d.checkRetention(since, d.sch.Now())
+	return d.appendSince(since, buf)
+}
+
+// checkRetention panics when since lies beyond the retention horizon of a
+// query made at now.
+func (d *DB) checkRetention(since, now des.Time) {
 	if horizon := now.Add(-des.Duration(d.cfg.Retention)); since < horizon && now > des.Time(d.cfg.Retention) {
 		panic(fmt.Sprintf("db: UpdatedSince(%v) beyond retention horizon %v", since, horizon))
 	}
-	d.gen++
-	// Scan newest-first so the first sighting of an id carries its latest
-	// update time.
-	for i := len(d.history) - 1; i >= d.head; i-- {
-		u := d.history[i]
-		if u.At <= since {
-			break
-		}
-		if d.lastGen[u.ID] == d.gen {
-			continue
-		}
-		d.lastGen[u.ID] = d.gen
-		buf = append(buf, u)
-	}
-	return buf
 }
 
-// CountUpdatedSince reports how many distinct items changed in (since, now].
-func (d *DB) CountUpdatedSince(since des.Time) int {
-	return len(d.UpdatedSince(since, nil))
+// appendSince copies the log entries after since, newest first, skipping
+// tombstones. An item's live entry carries its latest update, and a
+// tombstone after since is always followed by its item's live entry, so
+// this lists every item updated after since exactly once. The copy is
+// branch-free: each entry is written, and the output advances past it only
+// when it is live.
+func (d *DB) appendSince(since des.Time, buf []Update) []Update {
+	start := sort.Search(len(d.log), func(i int) bool { return d.log[i].At > since })
+	n := len(buf)
+	buf = slices.Grow(buf, len(d.log)-start)[:n+len(d.log)-start]
+	for i := len(d.log) - 1; i >= start; i-- {
+		u := d.log[i]
+		buf[n] = u
+		n += int(^uint(u.ID) >> (bits.UintSize - 1))
+	}
+	return buf[:n]
 }
 
 // View is a read-only query handle on the database for one execution lane.
-// It owns a private dedup scratch and a private clock, so concurrent lanes
-// can call UpdatedSince on the same DB without sharing mutable state: the
-// update process runs on the global scheduler, which only advances at epoch
-// barriers while every lane is parked, so the history a lane reads is frozen
-// for the duration of its epoch (the "epoch-visible update log").
+// It owns a private clock, so concurrent lanes can call UpdatedSince on the
+// same DB without sharing mutable state: the update process runs on the
+// global scheduler, which only advances at epoch barriers while every lane
+// is parked, so the index a lane reads is frozen for the duration of its
+// epoch (the "epoch-visible update log").
 type View struct {
 	d   *DB
 	now func() des.Time
-
-	gen     uint32
-	lastGen []uint32
 }
 
 // NewView builds a lane view whose retention checks use the given clock; a
@@ -288,28 +303,11 @@ func (d *DB) NewView(now func() des.Time) *View {
 	if now == nil {
 		now = d.sch.Now
 	}
-	return &View{d: d, now: now, lastGen: make([]uint32, d.cfg.NumItems)}
+	return &View{d: d, now: now}
 }
 
-// UpdatedSince is DB.UpdatedSince evaluated against the view's clock, using
-// the view's private scratch.
+// UpdatedSince is DB.UpdatedSince evaluated against the view's clock.
 func (v *View) UpdatedSince(since des.Time, buf []Update) []Update {
-	d := v.d
-	now := v.now()
-	if horizon := now.Add(-des.Duration(d.cfg.Retention)); since < horizon && now > des.Time(d.cfg.Retention) {
-		panic(fmt.Sprintf("db: UpdatedSince(%v) beyond retention horizon %v", since, horizon))
-	}
-	v.gen++
-	for i := len(d.history) - 1; i >= d.head; i-- {
-		u := d.history[i]
-		if u.At <= since {
-			break
-		}
-		if v.lastGen[u.ID] == v.gen {
-			continue
-		}
-		v.lastGen[u.ID] = v.gen
-		buf = append(buf, u)
-	}
-	return buf
+	v.d.checkRetention(since, v.now())
+	return v.d.appendSince(since, buf)
 }

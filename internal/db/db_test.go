@@ -2,6 +2,7 @@ package db
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -139,9 +140,6 @@ func TestUpdatedSinceDedupesToLatest(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("exclusive boundary violated: %v", got)
 	}
-	if d.CountUpdatedSince(des.Time(0)) != 2 {
-		t.Fatal("CountUpdatedSince wrong")
-	}
 }
 
 func TestUpdatedSinceAppendsToBuf(t *testing.T) {
@@ -157,15 +155,14 @@ func TestUpdatedSinceAppendsToBuf(t *testing.T) {
 
 func TestRetentionPruningAndPanic(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.UpdateRate = 50
+	cfg.UpdateRate = 1000
 	cfg.Retention = 10 * des.Second
 	d, sch := newDB(t, cfg, 7)
 	d.Start()
-	sch.Run(des.Time(0).Add(120 * des.Second))
-	// History must be bounded near rate × retention, not rate × horizon.
-	live := len(d.history) - d.head
-	if live > 50*10*2 {
-		t.Fatalf("history not pruned: %d live entries", live)
+	sch.Run(des.Time(0).Add(110 * des.Second))
+	// The index is bounded by the item count, not rate × retention.
+	if d.Updates() < 100_000 || len(d.log) > 2*cfg.NumItems {
+		t.Fatalf("index holds %d entries for %d items after %d updates", len(d.log), cfg.NumItems, d.Updates())
 	}
 	// Recent window works.
 	_ = d.UpdatedSince(sch.Now().Add(-5*des.Second), nil)
@@ -211,21 +208,199 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func BenchmarkUpdatedSince(b *testing.B) {
-	sch := des.NewScheduler()
-	cfg := DefaultConfig()
-	cfg.UpdateRate = 100
-	cfg.Retention = des.Minute
-	d, err := New(sch, cfg, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
+// historyScan is the update history the index replaced, kept as the
+// reference the index is checked against: every update in order, pruned to
+// the retention horizon at each update, scanned newest first with the first
+// sighting of an id carrying its latest update time.
+type historyScan struct {
+	retention des.Duration
+	history   []Update
+}
+
+func (h *historyScan) apply(id int, now des.Time) {
+	h.history = append(h.history, Update{ID: id, At: now})
+	cut := now.Add(-h.retention)
+	head := 0
+	for head < len(h.history) && h.history[head].At < cut {
+		head++
 	}
-	d.Start()
-	sch.Run(des.Time(0).Add(5 * des.Minute))
-	buf := make([]Update, 0, 4096)
+	h.history = h.history[head:]
+}
+
+// updatedSince panics as UpdatedSince does.
+func (h *historyScan) updatedSince(since, now des.Time) []Update {
+	if horizon := now.Add(-h.retention); since < horizon && now > des.Time(h.retention) {
+		panic("beyond retention")
+	}
+	seen := map[int]bool{}
+	var out []Update
+	for i := len(h.history) - 1; i >= 0 && h.history[i].At > since; i-- {
+		if u := h.history[i]; !seen[u.ID] {
+			seen[u.ID] = true
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// TestUpdatedSinceMatchesHistoryScan drives the index and the history scan
+// it replaced through random update schedules — hot/cold skew, several
+// updates on one microsecond, gaps past the retention, Resets with and
+// without a size change — and asks both the same windows, through the DB
+// and through a lane View whose clock runs ahead of the database's: every
+// answer must list the same items, times and order, and both must panic on
+// the same windows.
+func TestUpdatedSinceMatchesHistoryScan(t *testing.T) {
+	src := rng.New(11)
+	cfg := DefaultConfig()
+	cfg.NumItems, cfg.HotItems, cfg.UpdateRate = 60, 6, 0
+	cfg.Retention = 2 * des.Second
+	d, sch := newDB(t, cfg, 12)
+	ref := &historyScan{retention: cfg.Retention}
+	var ahead des.Duration // the lane clock's lead over the database's
+	v := d.NewView(func() des.Time { return sch.Now().Add(ahead) })
+
+	check := func(since des.Time) {
+		t.Helper()
+		now := sch.Now()
+		for _, lead := range []des.Duration{0, ahead} {
+			var want, got []Update
+			wantPanic := panics(func() { want = ref.updatedSince(since, now.Add(lead)) })
+			gotPanic := panics(func() {
+				if lead == 0 {
+					got = d.UpdatedSince(since, nil)
+				} else {
+					got = v.UpdatedSince(since, nil)
+				}
+			})
+			if gotPanic != wantPanic || !slices.Equal(got, want) {
+				t.Fatalf("now %v lead %v since %v: index %v (panic %v), history %v (panic %v)",
+					now, lead, since, got, gotPanic, want, wantPanic)
+			}
+		}
+	}
+	for step := 0; step < 20_000; step++ {
+		switch r := src.Float64(); {
+		case r < 0.0005:
+			// A new replication, sometimes with another database size.
+			if src.Bool(0.5) {
+				cfg.NumItems = 40 + src.Intn(40)
+			}
+			sch = des.NewScheduler()
+			if err := d.Reset(sch, cfg, rng.New(uint64(step))); err != nil {
+				t.Fatal(err)
+			}
+			ref = &historyScan{retention: cfg.Retention}
+		case r < 0.3:
+			// Same microsecond: no advance.
+		case r < 0.95:
+			sch.Run(sch.Now().Add(des.Duration(1 + src.Intn(20_000))))
+		default:
+			sch.Run(sch.Now().Add(cfg.Retention + des.Duration(src.Intn(1000))))
+		}
+		id := cfg.HotItems + src.Intn(cfg.NumItems-cfg.HotItems)
+		if src.Bool(0.8) {
+			id = src.Intn(cfg.HotItems)
+		}
+		d.ApplyUpdate(id)
+		ref.apply(id, sch.Now())
+		ahead = des.Duration(src.Intn(3)) * des.Millisecond
+
+		now := sch.Now()
+		edge := now.Add(-cfg.Retention)
+		recent := ref.history[src.Intn(len(ref.history))].At
+		for _, since := range []des.Time{recent, now, edge, edge.Add(ahead), des.Time(0),
+			now.Add(-des.Duration(src.Intn(int(cfg.Retention))))} {
+			check(since - 1)
+			check(since)
+			check(since + 1)
+		}
+	}
+}
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// TestUpdatedSinceLongHistory asks for the widest window the retention
+// allows after ten minutes of updates 1 ms apart: every item is in it, each
+// once with its latest update time, newest first, and the index still holds
+// at most two entries per item.
+func TestUpdatedSinceLongHistory(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.UpdateRate = 0
+	d, sch := newDB(t, cfg, 13)
+	src := rng.New(14)
+	for i := 1; i <= 600_000; i++ {
+		sch.Run(des.Time(i) * des.Time(des.Millisecond))
+		d.ApplyUpdate(src.Intn(cfg.NumItems))
+	}
+	got := d.UpdatedSince(sch.Now().Add(-9*des.Minute-30*des.Second), nil)
+	if len(got) != cfg.NumItems {
+		t.Fatalf("%d items in the window, want all %d", len(got), cfg.NumItems)
+	}
+	for i, u := range got {
+		if u.At != d.Item(u.ID).UpdatedAt || i > 0 && u.At >= got[i-1].At {
+			t.Fatalf("entry %d = %+v after %+v: not each item's latest update, newest first", i, u, got[max(i-1, 0)])
+		}
+	}
+	if len(d.log) > 2*cfg.NumItems {
+		t.Fatalf("index holds %d entries for %d items", len(d.log), cfg.NumItems)
+	}
+}
+
+// BenchmarkUpdatedSince times one UpdatedSince: a 20 s window after five
+// minutes of the default hot/cold process at 100 updates/s; and, over 1000
+// items updated uniformly 1 ms apart, a 2 s window (the shape of bench's
+// served-write catch-ups, ~865 items) and a window 9.5 minutes back on a
+// 10-minute history (every item, the widest window the retention allows).
+func BenchmarkUpdatedSince(b *testing.B) {
+	b.Run("hotcold-20s", func(b *testing.B) {
+		sch := des.NewScheduler()
+		cfg := DefaultConfig()
+		cfg.UpdateRate = 100
+		cfg.Retention = des.Minute
+		d, err := New(sch, cfg, rng.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.Start()
+		sch.Run(des.Time(0).Add(5 * des.Minute))
+		benchUpdatedSince(b, d, sch.Now().Add(-20*des.Second))
+	})
+	for _, bc := range []struct {
+		name     string
+		history  des.Duration
+		lookback des.Duration
+	}{
+		{"uniform-2s", 2 * des.Second, 2 * des.Second},
+		{"uniform-9.5min", 10 * des.Minute, 9*des.Minute + 30*des.Second},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sch := des.NewScheduler()
+			cfg := DefaultConfig()
+			cfg.UpdateRate = 0
+			d, err := New(sch, cfg, rng.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := rng.New(2)
+			for t := des.Time(0); t < des.Time(bc.history); t += des.Time(des.Millisecond) {
+				sch.Run(t)
+				d.ApplyUpdate(src.Intn(cfg.NumItems))
+			}
+			benchUpdatedSince(b, d, sch.Now().Add(-bc.lookback))
+		})
+	}
+}
+
+func benchUpdatedSince(b *testing.B, d *DB, since des.Time) {
+	buf := make([]Update, 0, 2*d.NumItems())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = d.UpdatedSince(sch.Now().Add(-20*des.Second), buf[:0])
+		buf = d.UpdatedSince(since, buf[:0])
 	}
 }

@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/db"
@@ -40,25 +42,62 @@ type ServerEnv interface {
 // from an algorithm's arena: its lifetime ends at one client, not at a
 // broadcast fan-out, so it must not be recycled.
 func CatchupReport(env ServerEnv, since des.Time, retention des.Duration) *Report {
-	r := &Report{}
-	BuildCatchup(r, env, since, retention)
+	now := env.Now()
+	r := &Report{Kind: KindFull, At: now, PrevAt: now, WindowStart: now}
+	if catchupCovers(since, now, retention) {
+		r.WindowStart = since
+		r.Items = env.UpdatedSince(since, nil)
+	}
 	return r
 }
 
-// BuildCatchup writes the catch-up reply CatchupReport describes into r,
-// overwriting every field and appending the items to r's Items backing
-// array, so a host that encodes each reply before building the next reuses
-// one report for all of them.
-func BuildCatchup(r *Report, env ServerEnv, since des.Time, retention des.Duration) {
-	now := env.Now()
-	*r = Report{Kind: KindFull, At: now, PrevAt: now, WindowStart: now, Items: r.Items[:0]}
-	// Compared without subtracting since, which a hostile peer can set so
-	// that now - since overflows.
-	if since <= now && since >= now.Add(-retention) {
-		r.WindowStart = since
-		r.Items = env.UpdatedSince(since, r.Items)
-	}
+// catchupCovers reports whether a catch-up since the given point gets the
+// items of (since, now] rather than the drop-everything report: since must
+// lie within retention of now, and not after it. It compares without
+// subtracting since, which a hostile peer can set so that now - since
+// overflows.
+func catchupCovers(since, now des.Time, retention des.Duration) bool {
+	return since <= now && since >= now.Add(-retention)
 }
+
+// CatchupMemo appends catch-up replies in wire form, listing a database
+// version's updated items once for many replies. It keeps the items (newest
+// first, as UpdatedSince returns them) and their wire form for the widest
+// since it has served at the current version. Because update times never
+// increase along that list, the items updated after any later since are a
+// prefix of it, which a binary search finds; an earlier since, or a new
+// version, rebuilds the memo. The zero value is ready to use.
+type CatchupMemo struct {
+	version uint64
+	since   des.Time
+	items   []db.Update
+	wire    []byte // items' wire forms, 12 bytes each
+	builds  uint64 // rebuilds so far; the memo is empty until the first
+}
+
+// Append appends to dst exactly the bytes
+// CatchupReport(env, since, retention).AppendMarshal(dst) would. version
+// names the database state env.UpdatedSince reads: two calls with the same
+// version must see the same updates.
+func (m *CatchupMemo) Append(dst []byte, env ServerEnv, since des.Time, retention des.Duration, version uint64) []byte {
+	now := env.Now()
+	if !catchupCovers(since, now, retention) {
+		return append(appendHead(dst, KindFull, 0, now, now, now, 0), 0)
+	}
+	if m.builds == 0 || version != m.version || since < m.since {
+		m.items = env.UpdatedSince(since, m.items[:0])
+		m.wire = appendItems(m.wire[:0], m.items)
+		m.version, m.since = version, since
+		m.builds++
+	}
+	n := sort.Search(len(m.items), func(i int) bool { return m.items[i].At <= since })
+	dst = appendHead(dst, KindFull, 0, now, now, since, n)
+	return append(append(dst, m.wire[:12*n]...), 0)
+}
+
+// Builds reports how many times the memo has listed a database version's
+// items.
+func (m *CatchupMemo) Builds() uint64 { return m.builds }
 
 // ServerAlgo is one invalidation-report algorithm, server side. It is the
 // minimal contract every scheme satisfies: arming a report schedule against
@@ -279,7 +318,9 @@ func New(name string, p Params) (ServerAlgo, error) {
 // (slowest) entry of the table — "no link adaptation for broadcast".
 const robustMCS = 0
 
-// sortUpdates orders report items by id for a canonical wire form.
+// sortUpdates orders report items by id for a canonical wire form. The
+// items come from UpdatedSince, so their ids are unique and any sort gives
+// the same order.
 func sortUpdates(items []db.Update) {
-	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
+	slices.SortFunc(items, func(a, b db.Update) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -30,6 +30,7 @@ package ir
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/db"
 	"repro/internal/des"
@@ -145,16 +146,7 @@ func (r *Report) Marshal() []byte {
 // extended slice: the allocation-free form of Marshal for a caller that
 // encodes into a buffer it reuses.
 func (r *Report) AppendMarshal(dst []byte) []byte {
-	dst = append(dst, byte(r.Kind))
-	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.At))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.PrevAt))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.WindowStart))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Items)))
-	for _, u := range r.Items {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(u.ID))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(u.At))
-	}
+	dst = appendItems(appendHead(dst, r.Kind, r.Seq, r.At, r.PrevAt, r.WindowStart, len(r.Items)), r.Items)
 	if r.Sig != nil {
 		dst = append(dst, 1)
 		dst = binary.BigEndian.AppendUint64(dst, uint64(r.Sig.AsOf))
@@ -163,6 +155,31 @@ func (r *Report) AppendMarshal(dst []byte) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(r.Sig.Bits))
 	} else {
 		dst = append(dst, 0)
+	}
+	return dst
+}
+
+// appendHead appends a report's 37-byte header: kind, sequence number, the
+// three timestamps and the item count.
+func appendHead(dst []byte, k Kind, seq uint64, at, prev, start des.Time, items int) []byte {
+	dst = append(dst, byte(k))
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(at))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(prev))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(start))
+	return binary.BigEndian.AppendUint32(dst, uint32(items))
+}
+
+// appendItems appends the items' wire forms, 12 bytes each: the id, then
+// the update time.
+func appendItems(dst []byte, items []db.Update) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 12*len(items))[:n+12*len(items)]
+	b := dst[n:]
+	for _, u := range items {
+		binary.BigEndian.PutUint32(b, uint32(u.ID))
+		binary.BigEndian.PutUint64(b[4:12], uint64(u.At))
+		b = b[12:]
 	}
 	return dst
 }

@@ -11,9 +11,9 @@ import (
 // batch op serveBatch, as a connection's handler submits it, over 32 frames
 // on a warmed-up virtual-clock hybrid server. Answers, digests and catch-up
 // reports are appended to the connection's buffer, the digest goes back to
-// the algorithm's arena and every catch-up is built in the runtime's one
-// reply report, so a batch of queries or of catch-ups allocates at most
-// maxAllocs times, not per frame. Before each query batch the clock moves
+// the algorithm's arena and every catch-up is copied from the runtime's
+// catch-up memo, whose buffers are reused when it is rebuilt, so a batch of
+// queries or of catch-ups allocates at most maxAllocs times, not per frame. Before each query batch the clock moves
 // one piggyback gap, so every batch's first answer carries a digest.
 func TestBatchAllocs(t *testing.T) {
 	const maxAllocs = 8

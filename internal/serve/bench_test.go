@@ -5,6 +5,9 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/des"
+	"repro/internal/rng"
 )
 
 // BenchmarkQueryPlane measures the query plane end to end over loopback:
@@ -75,4 +78,54 @@ func BenchmarkQueryPlane(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/query")
+}
+
+// BenchmarkCatchup times one query-plane catch-up frame in bench's
+// served-write shape: 1000 items updated uniformly at 1000 updates/s for
+// 2 s, asked since now - 2 s (~865 items, ~10.4 KB per frame). "hit"
+// serves every frame at one database version, from the memo; "build"
+// injects one update (to an item already listed, so the shape holds) before
+// each frame, which then lists the database afresh.
+func BenchmarkCatchup(b *testing.B) {
+	for _, build := range []bool{false, true} {
+		name := "hit"
+		if build {
+			name = "build"
+		}
+		b.Run(name, func(b *testing.B) {
+			rc := DefaultRuntimeConfig()
+			rc.Algo = "hybrid"
+			rt, err := NewRuntime(rc, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rt.Start()
+			src := rng.New(1)
+			for i := 1; i <= 2000; i++ {
+				if _, err := rt.AdvanceTo(des.Time(i) * des.Time(des.Millisecond)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rt.Inject(src.Intn(rc.DB.NumItems)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			payload := EncodeCatchup(rt.Now().Add(-2 * des.Second))
+			newest := rt.db.UpdatedSince(rt.Now()-1, nil)[0].ID
+			var out []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if build {
+					_, _ = rt.Inject(newest)
+				}
+				if out, err = rt.appendResponse(out[:0], OpCatchup, payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if want := rt.Status().CatchupBuilds; build && want < uint64(b.N) || !build && want != 1 {
+				b.Fatalf("%d memo builds for %d frames", want, b.N)
+			}
+		})
+	}
 }

@@ -106,6 +106,8 @@ func Handler(s *serve.Server) http.Handler {
 		b.Gauge("wdcserved_actor_queue_max", "High-water mark of the actor mailbox, counted in ops (batches, for the query plane).", float64(st.QueueMax))
 		b.Counter("wdcserved_query_frames_total", "Request frames served on the TCP query plane.", float64(st.QueryFrames))
 		b.Counter("wdcserved_query_batches_total", "Actor ops that served the query plane's frames, one per batch.", float64(st.QueryBatches))
+		b.Counter("wdcserved_catchups_total", "Catch-up reports answered on the TCP query plane.", float64(st.Catchups))
+		b.Counter("wdcserved_catchup_builds_total", "Catch-up answers that listed the updated items afresh; the rest reused the list of the same database version.", float64(st.CatchupBuilds))
 		b.ServeHTTP(w, r)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

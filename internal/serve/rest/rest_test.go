@@ -94,7 +94,8 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{"wdcserved_broadcasts_total", "wdcserved_queries_total", `wdcserved_info{algo="hybrid"}`,
-		"wdcserved_query_frames_total", "wdcserved_query_batches_total"} {
+		"wdcserved_query_frames_total", "wdcserved_query_batches_total",
+		"wdcserved_catchups_total", "wdcserved_catchup_builds_total"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}

@@ -54,8 +54,10 @@ type Status struct {
 	ExecutedEvents uint64   `json:"executed_events"`
 	QueueDepth     int      `json:"actor_queue_depth"`
 	QueueMax       int      `json:"actor_queue_max"`
-	QueryFrames    uint64   `json:"query_frames"`  // request frames served on the TCP plane
-	QueryBatches   uint64   `json:"query_batches"` // actor ops that served them
+	QueryFrames    uint64   `json:"query_frames"`   // request frames served on the TCP plane
+	QueryBatches   uint64   `json:"query_batches"`  // actor ops that served them
+	Catchups       uint64   `json:"catchups"`       // catch-up reports answered on the TCP plane
+	CatchupBuilds  uint64   `json:"catchup_builds"` // of those, the ones that listed the database afresh
 }
 
 // Runtime is the invalidation-report engine bound to a virtual clock and an
@@ -71,8 +73,11 @@ type Runtime struct {
 	algo  ir.ServerAlgo
 	piggy ir.Piggybacker // nil unless the scheme piggybacks (tair, hybrid)
 
-	sink  func(mcs int, datagram []byte)
-	reply ir.Report // catchupReply's report, reused for every reply
+	sink func(mcs int, datagram []byte)
+
+	// The query plane answers catch-ups from memo; catchups counts them.
+	memo     ir.CatchupMemo
+	catchups uint64
 
 	// Environment signals, pushed by the host (control plane or test).
 	snrs []float64
@@ -188,14 +193,6 @@ func (rt *Runtime) checkSince(since des.Time) error {
 	return nil
 }
 
-// catchupReply builds the catch-up Catchup describes into the runtime's one
-// reply report, valid until the next call: the query plane encodes each
-// reply before it builds the next.
-func (rt *Runtime) catchupReply(since des.Time) *ir.Report {
-	ir.BuildCatchup(&rt.reply, rt, since, rt.db.Config().Retention)
-	return &rt.reply
-}
-
 // Inject applies one externally originated update and reports the item's
 // new version, stamped with the update time.
 func (rt *Runtime) Inject(item int) (capabilities.Answer, error) {
@@ -256,7 +253,50 @@ func (rt *Runtime) Status() Status {
 		Capabilities:   rt.Caps().Names(),
 		PendingEvents:  rt.sch.Pending(),
 		ExecutedEvents: rt.sch.Executed(),
+		Catchups:       rt.catchups,
+		CatchupBuilds:  rt.memo.Builds(),
 	}
+}
+
+// appendResponse serves one query-plane request frame and appends its
+// responses: an answer followed directly by the digest riding it, or a
+// catch-up report. A bad payload, an item out of range or a catch-up past
+// the clock gets an OpError in place, and the connection goes on. Only an
+// unknown op is returned as an error, after its OpError: it ends the
+// connection.
+func (rt *Runtime) appendResponse(out []byte, op byte, payload []byte) ([]byte, error) {
+	switch op {
+	case OpQuery:
+		item, err := DecodeQuery(payload)
+		if err != nil {
+			return appendErrorFrame(out, err), nil
+		}
+		ans, digest, err := rt.answer(item)
+		if err != nil {
+			return appendErrorFrame(out, err), nil
+		}
+		out = appendAnswerPayload(appendHeader(out, OpAnswer, 25), ans, digest != nil)
+		if digest != nil {
+			out = appendReportFrame(out, digest)
+			rt.algo.Recycle(digest)
+		}
+		return out, nil
+	case OpCatchup:
+		since, err := DecodeCatchup(payload)
+		if err == nil {
+			err = rt.checkSince(since)
+		}
+		if err != nil {
+			return appendErrorFrame(out, err), nil
+		}
+		// The frame carries the bytes of Catchup(since), from the memo.
+		rt.catchups++
+		start := len(out)
+		out = rt.memo.Append(appendHeader(out, OpReport, 0), rt, since, rt.db.Config().Retention, rt.db.Updates())
+		return patchFrameLen(out, start), nil
+	}
+	err := fmt.Errorf("serve: unknown op 0x%02x", op)
+	return appendErrorFrame(out, err), err
 }
 
 // emit encodes and sinks one report, then recycles it.

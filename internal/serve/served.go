@@ -274,20 +274,6 @@ func (s *Server) Query(item int) (ans capabilities.Answer, digest []byte, err er
 	return ans, digest, qerr
 }
 
-// Catchup serves the update history since the given consistency point, in
-// wire form. A consistency point past the server's clock is an error: no
-// client of this server can have reached it.
-func (s *Server) Catchup(since des.Time) (report []byte, err error) {
-	if derr := s.Do(func(rt *Runtime) {
-		if err = rt.checkSince(since); err == nil {
-			report = rt.Catchup(since).Marshal()
-		}
-	}); derr != nil {
-		return nil, derr
-	}
-	return report, err
-}
-
 // Shutdown gracefully stops the server: the listener closes, in-flight
 // queries drain (handlers serve the frames they have already read and write
 // the responses; idle connections close), a final catch-up report covering
@@ -490,7 +476,7 @@ func (s *Server) serveBatch(c *queryConn) {
 		}
 		n++
 		s.stamp()
-		if c.out, c.err = s.appendResponse(c.out, op, payload); c.err != nil {
+		if c.out, c.err = s.rt.appendResponse(c.out, op, payload); c.err != nil {
 			break
 		}
 	}
@@ -498,40 +484,4 @@ func (s *Server) serveBatch(c *queryConn) {
 		s.queryFrames += uint64(n)
 		s.queryBatches++
 	}
-}
-
-// appendResponse serves one request frame and appends its responses: an
-// answer followed directly by the digest riding it, or a catch-up report.
-// A bad payload, an item out of range or a catch-up past the clock gets an
-// OpError in place, and the connection goes on. Only an unknown op is
-// returned as an error, after its OpError: it ends the connection.
-func (s *Server) appendResponse(out []byte, op byte, payload []byte) ([]byte, error) {
-	switch op {
-	case OpQuery:
-		item, err := DecodeQuery(payload)
-		if err != nil {
-			return appendErrorFrame(out, err), nil
-		}
-		ans, digest, err := s.rt.answer(item)
-		if err != nil {
-			return appendErrorFrame(out, err), nil
-		}
-		out = appendAnswerPayload(appendHeader(out, OpAnswer, 25), ans, digest != nil)
-		if digest != nil {
-			out = appendReportFrame(out, digest)
-			s.rt.algo.Recycle(digest)
-		}
-		return out, nil
-	case OpCatchup:
-		since, err := DecodeCatchup(payload)
-		if err == nil {
-			err = s.rt.checkSince(since)
-		}
-		if err != nil {
-			return appendErrorFrame(out, err), nil
-		}
-		return appendReportFrame(out, s.rt.catchupReply(since)), nil
-	}
-	err := fmt.Errorf("serve: unknown op 0x%02x", op)
-	return appendErrorFrame(out, err), err
 }

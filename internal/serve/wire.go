@@ -48,10 +48,14 @@ func appendHeader(dst []byte, op byte, n int) []byte {
 }
 
 // appendReportFrame appends a whole OpReport frame carrying r's wire form.
-// The length prefix is patched in once the report is encoded.
 func appendReportFrame(dst []byte, r *ir.Report) []byte {
 	start := len(dst)
-	dst = r.AppendMarshal(appendHeader(dst, OpReport, 0))
+	return patchFrameLen(r.AppendMarshal(appendHeader(dst, OpReport, 0)), start)
+}
+
+// patchFrameLen sets the length prefix of the frame that starts at
+// dst[start] and ends dst, once its payload is appended.
+func patchFrameLen(dst []byte, start int) []byte {
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
